@@ -86,6 +86,52 @@ void BM_MatmulBatchProjectionNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulBatchProjectionNaive)->Name("matmul 256x128x128 naive");
 
+// Serving shapes: the coalesced drain's projection ([rows x d=38] * alpha
+// [38 x L=22]) and the fused ensemble scoring ([rows x L=22] * packed beta
+// [22 x C*d=76]) over a 1000-row mega-batch, each beside the per-row
+// matvec_transposed loop that yields the same bits. A batched path only
+// pays off while the GEMM beats the loop, on the default build as well as
+// a native one. Items are rows.
+template <std::size_t M, std::size_t K, std::size_t N>
+void BM_MatmulServing(benchmark::State& state) {
+  util::Rng rng(12);
+  const Matrix a = Matrix::random_gaussian(M, K, rng);
+  const Matrix b = Matrix::random_gaussian(K, N, rng);
+  Matrix c;
+  for (auto _ : state) {
+    linalg::matmul_into(a, b, c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * M);
+  set_flops(state, 2 * M * K * N);
+}
+
+template <std::size_t M, std::size_t K, std::size_t N>
+void BM_MatvecTransposedRows(benchmark::State& state) {
+  util::Rng rng(12);
+  const Matrix a = Matrix::random_gaussian(M, K, rng);
+  const Matrix b = Matrix::random_gaussian(K, N, rng);
+  Matrix c(M, N);
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < M; ++r) {
+      linalg::matvec_transposed(b, a.row(r), c.row(r));
+    }
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * M);
+  set_flops(state, 2 * M * K * N);
+}
+BENCHMARK_TEMPLATE(BM_MatmulServing, 1000, 38, 22)
+    ->Name("matmul 1000x38x22");
+BENCHMARK_TEMPLATE(BM_MatvecTransposedRows, 1000, 38, 22)
+    ->Name("matvec_transposed loop 1000x38x22");
+BENCHMARK_TEMPLATE(BM_MatmulServing, 1000, 22, 76)
+    ->Name("matmul 1000x22x76");
+BENCHMARK_TEMPLATE(BM_MatvecTransposedRows, 1000, 22, 76)
+    ->Name("matvec_transposed loop 1000x22x76");
+
 // Paper-scale matvec: the per-sample projection (rows = hidden, cols =
 // input dim) and its transposed twin (beta^T h).
 void BM_Matvec(benchmark::State& state) {

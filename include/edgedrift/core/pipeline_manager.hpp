@@ -312,7 +312,8 @@ class PipelineManager {
   /// Rebuilds a cold stream from its blob. Caller holds s.produce_mutex;
   /// takes shard.evict_mutex itself. False -> kRestoreFailed.
   bool restore_cold(Shard& shard, Stream& s);
-  /// Model + ring bytes of a resident stream (the hot-budget unit).
+  /// Model (device profile + packed mirror + tier replica) + ring bytes of
+  /// a resident stream (the hot-budget unit).
   std::size_t hot_footprint(const Stream& s) const;
   /// Wakes kBlock producers after head advanced past `head_before`.
   void notify_space(Stream& s);

@@ -144,7 +144,7 @@ struct ManagedStream {
   // ---- residency / eviction bookkeeping (guarded by shard evict_mutex
   //      unless noted) ----
   Residency residency = Residency::kHot;  ///< See class comment for locking.
-  std::size_t hot_footprint_bytes = 0;    ///< Model + ring bytes while hot.
+  std::size_t hot_footprint_bytes = 0;    ///< hot_footprint() while hot.
 
   /// Treiber-stack link; owned by the ready stack between push and take.
   std::atomic<ManagedStream*> ready_next{nullptr};

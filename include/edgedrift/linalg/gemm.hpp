@@ -1,6 +1,9 @@
-// Matrix-multiply kernels. The blocked kernel is cache-tiled; the threaded
-// variant splits output rows across the global thread pool and is used only
-// by the batch paths (initial ELM training, baseline batch detectors).
+// Matrix-multiply kernels. The f64 GEMM is a packed register-tile
+// microkernel on the AVX2/NEON backends and a row-streamed kernel on the
+// portable backend (gemm.cpp); both accumulate every element as one
+// ascending-k madd chain, so GEMM rows match matvec_transposed() bit for
+// bit. The threaded variants split output rows across the global thread
+// pool and are used only by the batch paths.
 #pragma once
 
 #include <cstddef>
@@ -17,7 +20,8 @@ namespace edgedrift::linalg {
 /// projection. pack_gemm_b() builds exactly the panel layout the per-call
 /// GEMM path packs internally, so matmul_packed_parallel_into() produces
 /// bit-identical results to matmul_parallel_into() while skipping the
-/// per-call pack of B.
+/// per-call pack of B. On the portable backend the kernel reads B in place,
+/// so only the shape is recorded and `panels` stays empty.
 struct PackedGemmB {
   std::vector<double> panels;
   std::size_t rows = 0;  ///< k of the packed B.
@@ -33,7 +37,7 @@ void pack_gemm_b(const Matrix& b, PackedGemmB& out);
 void matmul_packed_parallel_into(ConstMatrixView a, const Matrix& b,
                                  const PackedGemmB& packed, Matrix& c);
 
-/// C = A * B (shapes: [m,k] x [k,n] -> [m,n]). Cache-blocked single-thread.
+/// C = A * B (shapes: [m,k] x [k,n] -> [m,n]). Single-threaded.
 /// A is a row-block view, so callers can multiply a contiguous row range of
 /// a larger matrix without copying it out (Matrix converts implicitly).
 Matrix matmul(ConstMatrixView a, const Matrix& b);

@@ -11,11 +11,16 @@
 // Defining EDGEDRIFT_SIMD_FORCE_PORTABLE pins the portable backend even when
 // the compiler flags would allow a vector ISA.
 //
+// The backend also picks the f64 GEMM kernel (gemm.cpp): AVX2 and NEON run
+// a packed register-tile microkernel; the portable backend runs a
+// row-streamed kernel built from scaled_accumulate(), because its struct
+// "vectors" are too wide for a register tile to stay in registers.
+//
 // Numerics policy (docs/ARCHITECTURE.md, "Kernel layer & numerics policy"):
 // every per-element accumulation in the kernels is one `madd()` — a fused
 // multiply-add on the SIMD backends, an unfused multiply-then-add on the
 // portable backend. Kernels that must stay bit-identical across the scalar
-// and batch paths of one build (matvec_transposed vs. the GEMM microkernel)
+// and batch paths of one build (matvec_transposed vs. either GEMM kernel)
 // accumulate each output element as a single ascending-k madd chain, so the
 // result is independent of lane arrangement and tail handling. Reductions
 // (dot, distances) use multiple accumulators and are only tolerance-
@@ -375,10 +380,10 @@ EDGEDRIFT_ALWAYS_INLINE float dot_product(const float* EDGEDRIFT_RESTRICT a,
 }
 
 /// y[0:n] += s * x[0:n], one madd-chain link per element. The shared body of
-/// matvec_transposed / ger / axpy and the GEMM reference semantics: per
+/// matvec_transposed / ger / axpy and the portable row-streamed GEMM: per
 /// element this is exactly `y[j] = madd(s, x[j], y[j])`, so any kernel built
 /// from repeated scaled_accumulate calls (ascending k) rounds identically to
-/// the register-tiled microkernel.
+/// the AVX2/NEON register-tiled microkernel.
 EDGEDRIFT_ALWAYS_INLINE void scaled_accumulate(
     double s, const double* EDGEDRIFT_RESTRICT x, double* EDGEDRIFT_RESTRICT y,
     std::size_t n) {

@@ -261,6 +261,12 @@ class MultiInstanceModel {
   /// host-side throughput artifact, not part of the Table 4 working set.
   std::size_t memory_bytes() const;
 
+  /// Heap bytes of the host-side scoring copies memory_bytes() leaves out:
+  /// the packed f64 ensemble mirror plus the f32 and i8 tier replicas (only
+  /// the active tier's replica is ever allocated). Together with
+  /// memory_bytes() this is the model's resident serving footprint.
+  std::size_t packed_mirror_bytes() const;
+
  private:
   /// Fused scorer core: one matvec of the shared hidden activation `h`
   /// against the active tier's packed beta reconstructs every instance,

@@ -18,7 +18,13 @@
 namespace edgedrift::core {
 
 std::size_t PipelineManager::hot_footprint(const Stream& s) const {
-  std::size_t bytes = s.pipeline != nullptr ? s.pipeline->memory_bytes() : 0;
+  // Pipeline::memory_bytes() is the device profile (beta stored once); a
+  // hot stream also holds the packed mirror and its tier replica.
+  std::size_t bytes = 0;
+  if (s.pipeline != nullptr) {
+    bytes += s.pipeline->memory_bytes() +
+             s.pipeline->model().packed_mirror_bytes();
+  }
   bytes += s.slab.size() * sizeof(double);
   bytes += s.labels.capacity() * sizeof(int);
   bytes += s.submit_ns.capacity() * sizeof(std::uint64_t);

@@ -1,14 +1,22 @@
 // Vectorized matrix kernels over the simd.hpp backend layer.
 //
-// The GEMM is a register-blocked microkernel: B is packed once per call
-// into k-major panels of NR columns (NR = two SIMD vectors), and each
-// MR x NR output tile is held in registers across the whole k loop —
-// MR*2 accumulator vectors, two B loads and one A broadcast per k step,
-// every update a fused multiply-add on the SIMD backends.
+// The f64 GEMM has one kernel per backend family, picked at compile time:
+//   - AVX2/NEON: a register-blocked microkernel. B is packed once per call
+//     into k-major panels of NR columns (NR = two SIMD vectors), and each
+//     MR x NR output tile is held in registers across the whole k loop —
+//     MR*2 accumulator vectors, two B loads and one A broadcast per k step,
+//     every update a fused multiply-add.
+//   - portable: a row-streamed kernel. Each output row is zero-filled, then
+//     accumulated with one ascending-k scaled_accumulate per row of B —
+//     the shape matmul_rows_f32 uses. The portable VDouble is a double[4]
+//     struct, so a 4 x 2-vector tile needs 32 live accumulator doubles,
+//     which spill out of the 16 SSE2 registers of a default x86-64 build;
+//     streaming rows keeps only one output row in flight and reads B
+//     straight from cache, so nothing is packed.
 //
-// Bit-identity contract (docs/ARCHITECTURE.md): each C element is a single
-// ascending-k madd chain seeded from the existing C value. That makes the
-// microkernel round exactly like matvec_transposed()'s per-element chain,
+// Bit-identity contract (docs/ARCHITECTURE.md): on every backend each C
+// element is a single ascending-k madd chain seeded at zero. That makes
+// both kernels round exactly like matvec_transposed()'s per-element chain,
 // which is what keeps Pipeline::process_batch() bit-identical to
 // process() within a build. Scalar row/column tails use simd::madd(), the
 // scalar op with the same rounding as the vector lanes.
@@ -23,6 +31,8 @@
 
 namespace edgedrift::linalg {
 namespace {
+
+#if defined(EDGEDRIFT_SIMD_AVX2) || defined(EDGEDRIFT_SIMD_NEON)
 
 using simd::VDouble;
 
@@ -191,6 +201,36 @@ void matmul_rows(ConstMatrixView a, const Matrix& b, Matrix& c,
     }
   }
 }
+
+#else  // portable backend: row-streamed, nothing packed.
+
+/// The row-streamed kernel reads B in place, so there are no panels to
+/// build: packing copies nothing and yields no panel pointer.
+const double* pack_b_into(const Matrix& /*b*/, std::vector<double>& /*buf*/) {
+  return nullptr;
+}
+
+const double* pack_b(const Matrix& /*b*/) { return nullptr; }
+
+/// C[row_lo:row_hi) = A * B. Each output row is zero-filled, then takes one
+/// scaled_accumulate per row of B in ascending k — per element exactly the
+/// madd chain matvec_transposed() runs, with B's rows streamed from cache.
+void matmul_rows(ConstMatrixView a, const Matrix& b, Matrix& c,
+                 std::size_t row_lo, std::size_t row_hi,
+                 const double* /*packed*/) {
+  const std::size_t k_dim = a.cols();
+  const std::size_t n = b.cols();
+  for (std::size_t i = row_lo; i < row_hi; ++i) {
+    const double* EDGEDRIFT_RESTRICT arow = a.data() + i * k_dim;
+    double* EDGEDRIFT_RESTRICT crow = c.data() + i * n;
+    std::fill(crow, crow + n, 0.0);
+    for (std::size_t kk = 0; kk < k_dim; ++kk) {
+      simd::scaled_accumulate(arow[kk], b.data() + kk * n, crow, n);
+    }
+  }
+}
+
+#endif
 
 }  // namespace
 

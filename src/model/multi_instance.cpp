@@ -546,4 +546,9 @@ std::size_t MultiInstanceModel::memory_bytes() const {
   return bytes;
 }
 
+std::size_t MultiInstanceModel::packed_mirror_bytes() const {
+  return packed_beta_.memory_bytes() + packed_beta_f32_.memory_bytes() +
+         packed_beta_q_.memory_bytes();
+}
+
 }  // namespace edgedrift::model

@@ -249,6 +249,36 @@ TEST(Eviction, StatsCarryAcrossEvictRestoreCycles) {
   EXPECT_LT(snap.shards[0].restore_ns.mean_ns(), 1e9);  // < 1 s each.
 }
 
+// hot_bytes is the hot-budget unit, so it must count what a resident stream
+// really holds: on top of the device-profile Pipeline::memory_bytes() (beta
+// stored once), the packed f64 ensemble mirror and the active tier's
+// replica — here the i8 codes and scales — both when the stream is first
+// registered and after a cold restore recomputes the footprint.
+TEST(Eviction, HotBytesCountPackedMirrorAndTierReplica) {
+  const StreamData data = make_drift_stream(500, 100);
+  PipelineConfig i8_config = make_config();
+  i8_config.numerics = NumericsTier::kQuantI8;
+  PipelineManager f64(make_config(), 1);
+  PipelineManager i8(i8_config, 1);
+  f64.fit(0, data.train.x, data.train.labels);
+  i8.fit(0, data.train.x, data.train.labels);
+
+  const auto& model = i8.stream(0).model();
+  const std::size_t replica = model.packed_beta_q().memory_bytes();
+  ASSERT_GT(replica, 0u);
+  const std::uint64_t i8_hot = i8.stats().shards[0].hot_bytes;
+  EXPECT_GE(i8_hot, i8.stream(0).memory_bytes() +
+                        model.packed_beta().memory_bytes() + replica);
+  // Same config bar the tier: the replica is the whole difference.
+  EXPECT_EQ(i8_hot - f64.stats().shards[0].hot_bytes, replica);
+
+  ASSERT_TRUE(i8.evict(0));
+  EXPECT_EQ(i8.stats().shards[0].hot_bytes, 0u);
+  ASSERT_TRUE(i8.submit(0, data.test.x.row(0)));
+  i8.drain();
+  EXPECT_EQ(i8.stats().shards[0].hot_bytes, i8_hot);
+}
+
 // With a hot budget under manual dispatch the resident set must be exactly
 // the budget's worth of most-recently-drained streams — the LRU property,
 // checked against a model of the expected recency order at every step.

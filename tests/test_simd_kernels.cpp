@@ -18,6 +18,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "edgedrift/linalg/gemm.hpp"
@@ -68,6 +70,15 @@ const Shape kShapes[] = {
     {0, 5, 7},     // Zero rows.
     {5, 0, 7},     // Empty inner dimension: C must be all zeros.
     {64, 33, 129}, // Large with both tails.
+    // Serving shapes: the coalesced projection [m x d=38] * [38 x L=22] and
+    // the ensemble scoring [m x 22] * [22 x C*d=76], at every small block
+    // height, a mid-size block and a full coalesced mega-batch.
+    {1, 38, 22},   {2, 38, 22},   {3, 38, 22},    {4, 38, 22},
+    {5, 38, 22},   {6, 38, 22},   {7, 38, 22},    {8, 38, 22},
+    {9, 38, 22},   {64, 38, 22},  {1000, 38, 22},
+    {1, 22, 76},   {2, 22, 76},   {3, 22, 76},    {4, 22, 76},
+    {5, 22, 76},   {6, 22, 76},   {7, 22, 76},    {8, 22, 76},
+    {9, 22, 76},   {64, 22, 76},  {1000, 22, 76},
 };
 
 TEST(SimdKernels, MatmulMatchesNaive) {
@@ -175,22 +186,60 @@ TEST(SimdKernels, GemmRowBitIdenticalToMatvecTransposed) {
   // The bit-identity contract itself: row r of A*B must equal B^T * A.row(r)
   // EXACTLY (EXPECT_EQ, no tolerance) within a build, because both sides are
   // a single ascending-k madd chain per output element. This is the kernel-
-  // level fact behind Pipeline::process_batch() == process().
+  // level fact behind Pipeline::process_batch() == process(). Every f64
+  // GEMM entry point is held to it: the allocating and the into forms, the
+  // threaded form on both sides of its multiply-add cut, and the
+  // pre-packed form the coalesced drain feeds from pack_gemm_b().
+  constexpr std::size_t kThreadingCut = std::size_t{1} << 20;
+  std::size_t threaded_shapes = 0;
+  std::size_t serial_shapes = 0;
   Rng rng(50);
+  linalg::PackedGemmB packed;  // Reused across shapes, as a shard reuses it.
   for (const Shape& s : kShapes) {
     if (s.m == 0) continue;
+    (s.m * s.k * s.n >= kThreadingCut ? threaded_shapes : serial_shapes)++;
     const Matrix a = Matrix::random_gaussian(s.m, s.k, rng);
     const Matrix b = Matrix::random_gaussian(s.k, s.n, rng);
-    const Matrix c = linalg::matmul(a, b);
+    Matrix want(s.m, s.n);
     std::vector<double> y(s.n);
     for (std::size_t r = 0; r < s.m; ++r) {
       linalg::matvec_transposed(b, a.row(r), y);
-      for (std::size_t j = 0; j < s.n; ++j) {
-        EXPECT_EQ(c(r, j), y[j]) << "row " << r << " col " << j << " shape "
-                                 << s.m << "x" << s.k << "x" << s.n;
+      want.set_row(r, y);
+    }
+
+    // The into forms must fully overwrite whatever C held before.
+    const auto poisoned = [&] {
+      return Matrix(s.m, s.n, std::numeric_limits<double>::quiet_NaN());
+    };
+    Matrix into = poisoned();
+    linalg::matmul_into(a, b, into);
+    Matrix parallel = poisoned();
+    linalg::matmul_parallel_into(a, b, parallel);
+    linalg::pack_gemm_b(b, packed);
+    Matrix prepacked = poisoned();
+    linalg::matmul_packed_parallel_into(a, b, packed, prepacked);
+
+    const struct {
+      const char* name;
+      Matrix got;
+    } outputs[] = {{"matmul", linalg::matmul(a, b)},
+                   {"matmul_into", std::move(into)},
+                   {"matmul_parallel_into", std::move(parallel)},
+                   {"matmul_packed_parallel_into", std::move(prepacked)}};
+    for (const auto& out : outputs) {
+      ASSERT_EQ(out.got.rows(), s.m) << out.name;
+      ASSERT_EQ(out.got.cols(), s.n) << out.name;
+      for (std::size_t r = 0; r < s.m; ++r) {
+        for (std::size_t j = 0; j < s.n; ++j) {
+          EXPECT_EQ(out.got(r, j), want(r, j))
+              << out.name << " row " << r << " col " << j << " shape " << s.m
+              << "x" << s.k << "x" << s.n;
+        }
       }
     }
   }
+  EXPECT_GT(threaded_shapes, 0u) << "no shape crosses the threading cut";
+  EXPECT_GT(serial_shapes, 0u);
 }
 
 TEST(SimdKernels, SquaredL2MatchesScalarAtTolerance) {
