@@ -28,8 +28,9 @@ StreamOutcome feed(drift::Detector& detector,
                    const model::MultiInstanceModel& model,
                    const data::Dataset& stream, std::size_t drift_at) {
   StreamOutcome outcome;
+  linalg::KernelWorkspace ws;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    const auto pred = model.predict(stream.x.row(i));
+    const auto pred = model.predict(stream.x.row(i), ws);
     drift::Observation obs;
     obs.x = stream.x.row(i);
     obs.predicted_label = static_cast<int>(pred.label);
@@ -77,8 +78,9 @@ int main() {
   {
     // theta_error from training scores (mean + 3 sigma).
     std::vector<double> scores(train.size());
+    linalg::KernelWorkspace ws;
     for (std::size_t i = 0; i < train.size(); ++i) {
-      scores[i] = model.instance(0).score(train.x.row(i));
+      scores[i] = model.score_of(train.x.row(i), 0, ws);
     }
     double mu = 0.0;
     for (const double s : scores) mu += s;

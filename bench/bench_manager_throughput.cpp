@@ -1,13 +1,12 @@
 // Serving-layer throughput: PipelineManager ring-buffer ingestion with the
-// chunked process_batch() drain against the retained sample-wise baseline
-// (DrainMode::kSample plus a per-row submit loop — the manager's pre-ring
-// serving path, with its per-sample heap copy and lock rounds).
+// chunked process_batch() drain against a per-row baseline — a plain loop
+// of Pipeline::process() over the same rows on the same fitted pipelines.
 //
-// Both modes run inside the same binary over the same fitted pipelines and
-// the same stationary pre-drift stream (drain cost is the object of
-// measurement, so no recovery may intervene), interleaved rep by rep with
-// the best-of throughput reported per mode — the noise-mitigation protocol
-// for single-core containers. Steps are bit-identical across modes
+// Both run inside the same binary over the same stationary pre-drift
+// stream (drain cost is the object of measurement, so no recovery may
+// intervene), interleaved rep by rep with the best-of throughput reported
+// per side — the noise-mitigation protocol for single-core containers.
+// process_batch() is bit-identical to process() row by row
 // (tests/test_ingestion.cpp), so the speedup is free.
 //
 // Three configurations span the regime: NSL-KDD-like (d=38, C=2), where
@@ -80,24 +79,14 @@ constexpr std::size_t kReps = 5;
 struct ModeRun {
   std::string label;
   core::ManagerOptions options;
-  bool batch_submit = true;
   std::unique_ptr<core::PipelineManager> manager;
   double best_samples_per_second = 0.0;
 };
 
-double run_rep(core::PipelineManager& manager, const linalg::Matrix& stream,
-               bool batch_submit) {
+double run_rep(core::PipelineManager& manager, const linalg::Matrix& stream) {
   util::Stopwatch clock;
   for (std::size_t s = 0; s < manager.num_streams(); ++s) {
-    if (batch_submit) {
-      manager.submit_batch(s, stream);
-    } else {
-      // The pre-ring submit_batch() was exactly this per-row loop; the
-      // baseline keeps its per-sample ingestion cost too.
-      for (std::size_t r = 0; r < stream.rows(); ++r) {
-        manager.submit(s, stream.row(r));
-      }
-    }
+    manager.submit_batch(s, stream);
   }
   manager.drain();
   const double seconds = clock.elapsed_seconds();
@@ -355,19 +344,21 @@ void run_train_ablation(const core::PipelineConfig& base,
       static_cast<unsigned long long>(totals.requants_saved));
 }
 
-/// Interleaved best-of comparison of the sample-wise baseline vs the
-/// batched drain at one stream count. Returns {baseline, batch} samples/s
-/// and appends table rows + JSON records under `prefix`.
+/// Interleaved best-of comparison of the per-row baseline vs the batched
+/// drain at one stream count. The baseline is a plain loop of
+/// Pipeline::process() over the same rows on the same fitted pipelines
+/// (no manager, no ring), keeping its steps as the manager does. Returns
+/// {baseline, batch} samples/s and appends table rows + JSON records under
+/// `prefix`.
 std::pair<double, double> run_modes(const std::string& prefix,
                                     const core::PipelineConfig& config,
                                     const data::Dataset& train,
                                     const linalg::Matrix& stream,
                                     std::size_t streams, util::Table& table,
                                     std::vector<bench::KernelRecord>& records) {
-  // The ring holds the whole stream so ingestion never backpressures: the
-  // measured quantity is the serving path, identical producers either way.
-  core::ManagerOptions base;
-  base.queue_capacity = stream.rows();
+  // The ring holds the whole stream so ingestion never backpressures.
+  core::ManagerOptions options;
+  options.queue_capacity = stream.rows();
 
   // Recovery must not intervene (its sequential retraining would swamp the
   // drain cost in both modes), so detections — if the detector fires on a
@@ -375,50 +366,60 @@ std::pair<double, double> run_modes(const std::string& prefix,
   core::PipelineConfig frozen_config = config;
   frozen_config.recovery = core::RecoveryPolicy::kDetectOnly;
 
-  std::vector<ModeRun> modes(2);
-  modes[0].label = "sample";
-  modes[0].options = base;
-  modes[0].options.drain = core::DrainMode::kSample;
-  modes[0].batch_submit = false;
-  modes[1].label = "batch";
-  modes[1].options = base;
-  for (ModeRun& m : modes) {
-    m.manager = std::make_unique<core::PipelineManager>(frozen_config, streams,
-                                                        m.options);
-    for (std::size_t s = 0; s < streams; ++s) {
-      m.manager->fit(s, train.x, train.labels);
-    }
+  // Same per-stream seeds as the manager's streams (config.seed + i).
+  std::vector<std::unique_ptr<core::Pipeline>> pipelines;
+  for (std::size_t s = 0; s < streams; ++s) {
+    core::PipelineConfig stream_config = frozen_config;
+    stream_config.seed = frozen_config.seed + s;
+    pipelines.push_back(std::make_unique<core::Pipeline>(stream_config));
+    pipelines.back()->fit(train.x, train.labels);
+  }
+  core::PipelineManager manager(frozen_config, streams, options);
+  for (std::size_t s = 0; s < streams; ++s) {
+    manager.fit(s, train.x, train.labels);
   }
 
+  std::vector<core::PipelineStep> steps;
+  steps.reserve(stream.rows());
+  double baseline = 0.0;
+  double batch = 0.0;
   for (std::size_t rep = 0; rep < kReps; ++rep) {
-    for (ModeRun& m : modes) {
-      const double sps = run_rep(*m.manager, stream, m.batch_submit);
-      m.best_samples_per_second = std::max(m.best_samples_per_second, sps);
-      for (std::size_t s = 0; s < streams; ++s) m.manager->take_steps(s);
+    util::Stopwatch clock;
+    for (auto& pipeline : pipelines) {
+      steps.clear();
+      for (std::size_t r = 0; r < stream.rows(); ++r) {
+        steps.push_back(pipeline->process(stream.row(r)));
+      }
     }
+    const double seconds = clock.elapsed_seconds();
+    if (seconds > 0.0) {
+      baseline = std::max(
+          baseline, static_cast<double>(streams * stream.rows()) / seconds);
+    }
+    batch = std::max(batch, run_rep(manager, stream));
+    for (std::size_t s = 0; s < streams; ++s) manager.take_steps(s);
   }
 
-  const double baseline = modes[0].best_samples_per_second;
-  for (const ModeRun& m : modes) {
-    const double sps = m.best_samples_per_second;
-    table.add_row({prefix, std::to_string(streams), m.label,
+  for (const auto& [label, sps] :
+       {std::pair<const char*, double>{"sample", baseline}, {"batch", batch}}) {
+    table.add_row({prefix, std::to_string(streams), label,
                    util::fmt(sps > 0.0 ? 1e9 / sps : 0.0, 0),
                    util::fmt(sps / 1e3, 1),
                    util::fmt(baseline > 0.0 ? sps / baseline : 0.0, 2)});
     records.push_back(make_record(prefix + "/streams=" +
                                       std::to_string(streams) +
-                                      "/drain=" + m.label,
+                                      "/drain=" + label,
                                   sps));
   }
-  // Telemetry dies with the managers at the end of this scope — print the
-  // batch run's serving counters for stream 0 while they are alive.
-  const core::StreamTelemetry& t = modes[1].manager->telemetry(0);
+  // Telemetry dies with the manager at the end of this scope — print its
+  // serving counters for stream 0 while they are alive.
+  const core::StreamTelemetry& t = manager.telemetry(0);
   std::printf(
       "%s @%zu streams (batch): high-water %zu, %zu bursts, "
       "busy drain-rate %.0f ksamples/s\n",
       prefix.c_str(), streams, t.queue_high_water.load(), t.drain_bursts,
       t.samples_per_second() / 1e3);
-  return {baseline, modes[1].best_samples_per_second};
+  return {baseline, batch};
 }
 
 }  // namespace
@@ -467,7 +468,7 @@ int main(int argc, char** argv) {
       }
       double best = 0.0;
       for (std::size_t rep = 0; rep < kReps; ++rep) {
-        best = std::max(best, run_rep(manager, stationary.x, true));
+        best = std::max(best, run_rep(manager, stationary.x));
         for (std::size_t s = 0; s < 8; ++s) manager.take_steps(s);
       }
       table.add_row({"nsl-kdd", "8", "batch/chunk=" + std::to_string(chunk),
@@ -499,7 +500,7 @@ int main(int argc, char** argv) {
       }
       for (std::size_t rep = 0; rep < kReps; ++rep) {
         for (ModeRun& m : modes) {
-          const double sps = run_rep(*m.manager, stationary.x, true);
+          const double sps = run_rep(*m.manager, stationary.x);
           m.best_samples_per_second =
               std::max(m.best_samples_per_second, sps);
           for (std::size_t s = 0; s < 8; ++s) m.manager->take_steps(s);
@@ -627,7 +628,7 @@ int main(int argc, char** argv) {
       }
       for (std::size_t rep = 0; rep < kReps; ++rep) {
         for (ModeRun& m : sweep) {
-          const double sps = run_rep(*m.manager, stationary.x, true);
+          const double sps = run_rep(*m.manager, stationary.x);
           m.best_samples_per_second =
               std::max(m.best_samples_per_second, sps);
           for (std::size_t s = 0; s < kStreams; ++s) m.manager->take_steps(s);

@@ -46,6 +46,7 @@ struct Fixture {
     return config;
   }()};
   std::vector<double> sample = std::vector<double>(kDim);
+  linalg::KernelWorkspace ws;  ///< Per-sample scoring scratch, as a Pipeline.
 
   Fixture() {
     // Train on synthetic fan spectra so the model state is realistic.
@@ -82,7 +83,7 @@ Fixture& fixture() {
 void BM_LabelPrediction(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(f.model.predict(f.sample));
+    benchmark::DoNotOptimize(f.model.predict(f.sample, f.ws));
   }
 }
 BENCHMARK(BM_LabelPrediction)->Name("label prediction");
@@ -115,7 +116,7 @@ BENCHMARK(BM_RetrainNoPrediction)
 void BM_RetrainWithPrediction(benchmark::State& state) {
   auto& f = fixture();
   for (auto _ : state) {
-    const auto pred = f.model.predict(f.sample);
+    const auto pred = f.model.predict(f.sample, f.ws);
     f.model.train_label(f.sample, pred.label);
   }
 }

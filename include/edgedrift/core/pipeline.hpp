@@ -262,6 +262,7 @@ class Pipeline {
   drift::Detector& detector_mutable() { return *detector_; }
   void finish_restore(double theta_error) {
     theta_error_ = theta_error;
+    detector_->set_anomaly_gate(theta_error);
     fitted_ = true;
     if (config_.train_chunk > 1) {
       // Mirror fit()'s pre-grow: a restored stream must honor the

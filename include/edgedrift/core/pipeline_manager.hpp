@@ -42,9 +42,7 @@
 // The worker drains whatever is queued in contiguous bursts of up to
 // drain_batch_max rows straight out of the slab through
 // Pipeline::process_batch_range() — bit-identical to process() row by row —
-// splitting only at the ring-wrap boundary. DrainMode::kSample retains the
-// old one-process()-per-sample drain as the in-binary baseline for
-// bench_manager_throughput.
+// splitting only at the ring-wrap boundary.
 //
 // Thread-safety contract: submit()/submit_batch() may be called from any
 // thread. fit(), stream(), steps(), telemetry() and the per-stream stats
@@ -75,14 +73,6 @@ enum class BackpressurePolicy {
   kReject,  ///< Drop the sample and count it in telemetry.
 };
 
-/// How the consumer drains a stream's ring.
-enum class DrainMode {
-  kBatch,   ///< Contiguous bursts through Pipeline::process_batch_range().
-  kSample,  ///< The pre-ring drain: one process() per sample with the old
-            ///< path's per-sample allocation and locking, kept as the
-            ///< in-binary baseline for bench_manager_throughput.
-};
-
 /// Who runs the consumer.
 enum class DispatchMode {
   kShard,   ///< Dedicated per-shard drain workers (optionally core-pinned).
@@ -98,6 +88,7 @@ enum class SubmitStatus {
   kDimensionMismatch,  ///< Sample width != the manager's input_dim.
   kBadLabelSpan,       ///< true_labels neither empty nor one per row.
   kRestoreFailed,      ///< Stream is cold and could not be restored.
+  kNonFinite,          ///< A value is NaN or infinite; nothing enqueued.
 };
 
 /// Cross-stream drain-planner knobs (see manager_coalesce.cpp). When a
@@ -110,7 +101,7 @@ enum class SubmitStatus {
 /// bit-identical to per-stream draining at kExactF64 (the projection is
 /// row-independent) and decision-equivalent at the approximate tiers.
 struct DrainOptions {
-  /// Coalesce eligible streams within a drain cycle (kBatch drains only).
+  /// Coalesce eligible streams within a drain cycle.
   bool coalesce = true;
   /// Largest mega-batch the planner stages for one shared GEMM. Rows
   /// beyond this drain through the normal per-stream path the same cycle.
@@ -137,7 +128,6 @@ struct ManagerOptions {
   std::size_t drain_batch_max = 128;  ///< Largest rows per drain burst.
   DrainOptions drain_opts;            ///< Cross-stream coalescing knobs.
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  DrainMode drain = DrainMode::kBatch;
   DispatchMode dispatch = DispatchMode::kShard;
   /// Independent serving shards (kShard dispatch spawns one worker each).
   std::size_t shards = 1;
@@ -197,7 +187,10 @@ class PipelineManager {
   /// happens on the owning shard's worker in submission order per stream
   /// (kShard) or when the caller polls (kManual). On failure `status`
   /// (when non-null) receives the typed reason; an unknown id or a failed
-  /// restore returns false instead of asserting.
+  /// restore returns false instead of asserting. A sample holding NaN or
+  /// Inf is refused with kNonFinite (and counted in telemetry) before it
+  /// reaches the ring: one such value would poison the label's centroid and
+  /// silence the detector for good.
   bool submit(std::size_t id, std::span<const double> x, int true_label = -1,
               SubmitStatus* status = nullptr);
 
@@ -205,8 +198,10 @@ class PipelineManager {
   /// lock, one tail publish per contiguous segment, one scheduling check).
   /// `true_labels` must be empty or hold exactly one label per row — a
   /// partial span enqueues nothing and reports kBadLabelSpan; it is never
-  /// read out of bounds. Returns the number of rows accepted (< x.rows()
-  /// under kReject backpressure or on a typed error, see `status`).
+  /// read out of bounds. Likewise a block holding any NaN or Inf enqueues
+  /// nothing and reports kNonFinite. Returns the number of rows accepted
+  /// (< x.rows() under kReject backpressure or on a typed error, see
+  /// `status`).
   std::size_t submit_batch(std::size_t id, const linalg::Matrix& x,
                            std::span<const int> true_labels = {},
                            SubmitStatus* status = nullptr);
@@ -312,8 +307,8 @@ class PipelineManager {
   /// Rebuilds a cold stream from its blob. Caller holds s.produce_mutex;
   /// takes shard.evict_mutex itself. False -> kRestoreFailed.
   bool restore_cold(Shard& shard, Stream& s);
-  /// Model (device profile + packed mirror + tier replica) + ring bytes of
-  /// a resident stream (the hot-budget unit).
+  /// Model (device profile + tier replica) + ring bytes of a resident
+  /// stream (the hot-budget unit).
   std::size_t hot_footprint(const Stream& s) const;
   /// Wakes kBlock producers after head advanced past `head_before`.
   void notify_space(Stream& s);

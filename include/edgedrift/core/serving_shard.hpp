@@ -55,6 +55,10 @@ namespace edgedrift::core {
 struct StreamTelemetry {
   std::size_t submitted = 0;   ///< Samples accepted into the ring.
   std::size_t rejected = 0;    ///< Samples dropped by kReject backpressure.
+  /// submit()/submit_batch() calls refused with kNonFinite. Atomic because
+  /// the check runs before the producer lock, so concurrent producers of
+  /// one stream may both count.
+  std::atomic<std::size_t> non_finite{0};
   std::size_t blocked = 0;     ///< submit() calls that had to wait (kBlock).
   std::size_t processed = 0;   ///< Samples drained through the pipeline.
   std::size_t drain_bursts = 0;         ///< Contiguous drain segments run.

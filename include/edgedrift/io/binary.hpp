@@ -37,7 +37,7 @@ class Writer {
   void write_string(const std::string& value);
   void write_doubles(std::span<const double> values);
   void write_sizes(std::span<const std::size_t> values);
-  void write_matrix(const linalg::Matrix& m);
+  void write_matrix(linalg::ConstColumnBlock m);
 
   /// Writes the file header (magic + format version + a section tag).
   void write_header(const std::string& section);

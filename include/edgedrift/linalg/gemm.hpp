@@ -69,7 +69,11 @@ void matmul_parallel_into(ConstMatrixView a, const Matrix& b, Matrix& c);
 void matvec(const Matrix& a, std::span<const double> x, std::span<double> y);
 
 /// y = A^T * x (shapes: [m,n]^T x [m] -> [n]). `y` must have length n.
-void matvec_transposed(const Matrix& a, std::span<const double> x,
+/// `a` may be a column block of a wider matrix (a dense Matrix converts to
+/// its whole-width block): per element of y the result is the same
+/// ascending-row madd chain either way, so an OS-ELM instance reconstructs
+/// bit-identically from its packed ensemble block and from a dense beta.
+void matvec_transposed(ConstColumnBlock a, std::span<const double> x,
                        std::span<double> y);
 
 /// f32-tier y = A^T * x (shapes: [m,n]^T x [m] -> [n]). Same ascending-row
@@ -88,17 +92,12 @@ void matmul_into(ConstMatrixViewT<float> a, const MatrixF32& b, MatrixF32& c);
 void matmul_parallel_into(ConstMatrixViewT<float> a, const MatrixF32& b,
                           MatrixF32& c);
 
-/// Rank-1 update A += alpha * u * v^T (u length rows, v length cols).
-void ger(Matrix& a, double alpha, std::span<const double> u,
+/// Rank-1 update A += alpha * u * v^T (u length rows, v length cols). `a`
+/// may be a column block of a wider matrix; each element receives the same
+/// madd a dense matrix of the block's shape would, which keeps a packed
+/// ensemble block bit-identical to a standalone beta trained on the same
+/// samples (model/multi_instance.hpp).
+void ger(ColumnBlock a, double alpha, std::span<const double> u,
          std::span<const double> v);
-
-/// Rank-1 update of a column block: A[:, col_begin : col_begin + v.size())
-/// += alpha * u * v^T. Per element this is the same madd as ger() on a
-/// dense matrix of the block's shape, so a column block updated through
-/// ger_block stays bit-identical to a standalone matrix updated through
-/// ger() with the same vectors — the invariant the packed ensemble beta
-/// relies on (model/multi_instance.cpp).
-void ger_block(Matrix& a, std::size_t col_begin, double alpha,
-               std::span<const double> u, std::span<const double> v);
 
 }  // namespace edgedrift::linalg

@@ -25,6 +25,7 @@
 #include <initializer_list>
 #include <new>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "edgedrift/util/assert.hpp"
@@ -344,5 +345,62 @@ class ConstMatrixViewT {
 };
 
 using ConstMatrixView = ConstMatrixViewT<double>;
+
+/// Non-owning view of the column block [col_begin, col_begin + cols) of a
+/// row-major matrix: every row of the owner, a strided slice of its
+/// columns. T is `double` for a mutable block, `const double` for a
+/// read-only one. This is how one OS-ELM instance's beta lives inside the
+/// packed ensemble matrix (model/multi_instance.hpp), and the operand type
+/// of matvec_transposed / ger, so one kernel serves a dense matrix (the
+/// whole-width block it converts to implicitly) and a packed instance.
+template <typename T>
+class ColumnBlockT {
+  using Elem = std::remove_const_t<T>;
+  using Owner =
+      std::conditional_t<std::is_const_v<T>, const MatrixT<Elem>, MatrixT<Elem>>;
+
+ public:
+  ColumnBlockT(Owner& m)  // NOLINT(google-explicit-constructor)
+      : ColumnBlockT(m, 0, m.cols()) {}
+
+  ColumnBlockT(Owner& m, std::size_t col_begin, std::size_t cols)
+      : data_(m.data() + col_begin),
+        rows_(m.rows()),
+        cols_(cols),
+        stride_(m.cols()) {
+    EDGEDRIFT_DASSERT(col_begin + cols <= m.cols(),
+                      "column block out of range");
+  }
+
+  /// A mutable block viewed read-only.
+  template <typename U = T, typename = std::enable_if_t<std::is_const_v<U>>>
+  ColumnBlockT(const ColumnBlockT<Elem>& b)  // NOLINT
+      : data_(b.data()), rows_(b.rows()), cols_(b.cols()), stride_(b.stride()) {}
+
+  std::size_t rows() const { return rows_; }
+  std::size_t cols() const { return cols_; }
+  /// Elements between the starts of consecutive rows (the owner's width).
+  std::size_t stride() const { return stride_; }
+  T* data() const { return data_; }
+
+  T& operator()(std::size_t r, std::size_t c) const {
+    EDGEDRIFT_DASSERT(r < rows_ && c < cols_, "block index out of range");
+    return data_[r * stride_ + c];
+  }
+
+  std::span<T> row(std::size_t r) const {
+    EDGEDRIFT_DASSERT(r < rows_, "block row index out of range");
+    return {data_ + r * stride_, cols_};
+  }
+
+ private:
+  T* data_;
+  std::size_t rows_;
+  std::size_t cols_;
+  std::size_t stride_;
+};
+
+using ColumnBlock = ColumnBlockT<double>;
+using ConstColumnBlock = ColumnBlockT<const double>;
 
 }  // namespace edgedrift::linalg

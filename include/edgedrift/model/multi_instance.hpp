@@ -3,6 +3,12 @@
 // projection. Prediction returns the label whose instance reconstructs the
 // sample best (smallest anomaly score); sequential training updates only
 // that closest instance.
+//
+// Every instance's beta lives in exactly one place: column block c of the
+// packed [hidden_dim x C * input_dim] matrix is instance c's beta. The
+// fused scorer reads the whole matrix in one matvec/GEMM, and training
+// runs the OS-ELM update steps (oselm/oselm.hpp) on (P_c, block c) in
+// place. Per label the model holds only P and a samples-seen count.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +19,8 @@
 #include "edgedrift/linalg/matrix.hpp"
 #include "edgedrift/linalg/numerics.hpp"
 #include "edgedrift/linalg/quant.hpp"
-#include "edgedrift/oselm/autoencoder.hpp"
+#include "edgedrift/linalg/workspace.hpp"
+#include "edgedrift/oselm/oselm.hpp"
 
 namespace edgedrift::model {
 
@@ -86,7 +93,7 @@ struct ChunkTrainStats {
   std::size_t replica_refreshes = 0;  ///< Tier replica re-derivations.
 };
 
-/// Per-label OS-ELM autoencoder bank.
+/// Per-label OS-ELM autoencoder bank over one packed beta matrix.
 class MultiInstanceModel {
  public:
   /// `num_labels` instances over one shared projection.
@@ -94,9 +101,9 @@ class MultiInstanceModel {
   MultiInstanceModel(std::size_t num_labels, oselm::ProjectionPtr projection,
                      double reg_lambda = 1e-2, double forgetting_factor = 1.0);
 
-  std::size_t num_labels() const { return instances_.size(); }
-  std::size_t input_dim() const { return instances_.front().input_dim(); }
-  std::size_t hidden_dim() const { return instances_.front().hidden_dim(); }
+  std::size_t num_labels() const { return p_.size(); }
+  std::size_t input_dim() const { return projection_->input_dim(); }
+  std::size_t hidden_dim() const { return projection_->hidden_dim(); }
 
   /// Batch initial training: instance L trains on the rows of X whose label
   /// is L. Labels must be in [0, num_labels).
@@ -106,20 +113,17 @@ class MultiInstanceModel {
   void init_sequential();
 
   /// Anomaly score of every instance; `out` must have length num_labels().
-  /// The workspace overload is the fused allocation-free hot path: one
-  /// shared hidden projection plus a single matvec against the packed
-  /// ensemble beta reconstructs all instances at once. The convenience
-  /// overload is the retained per-instance reference path — it walks the
-  /// instances one by one; tests/test_fused_scoring.cpp pins the two
-  /// bit-identical within a build.
+  /// The fused allocation-free hot path: one shared hidden projection plus
+  /// a single matvec against the packed beta reconstructs all instances at
+  /// once. tests/test_fused_scoring.cpp pins it bit-identical to C
+  /// standalone oselm::Autoencoder instances trained the same way.
   void scores(std::span<const double> x, std::span<double> out,
               linalg::KernelWorkspace& ws) const;
-  void scores(std::span<const double> x, std::span<double> out) const;
 
   /// Label = argmin instance score (Algorithm 1 lines 6–7). Thread-safe on
   /// a frozen model: uses no shared scratch. The workspace overload is the
   /// allocation-free hot path — `ws` is caller-owned, one per thread of
-  /// control.
+  /// control; the convenience overload allocates a workspace per call.
   Prediction predict(std::span<const double> x,
                      linalg::KernelWorkspace& ws) const;
   Prediction predict(std::span<const double> x) const;
@@ -136,12 +140,11 @@ class MultiInstanceModel {
                                  linalg::KernelWorkspace& ws) const;
 
   /// Scores every instance on every row of X with one fused
-  /// [rows x (num_labels * input_dim)] GEMM against the packed ensemble
-  /// beta, then a vectorized per-label MSE reduction:
-  /// ws.scores(r, l) is bit-identical to instance(l).score(x.row(r)).
-  /// X is a row-block view (Matrix converts implicitly), so a contiguous
-  /// row range — a drain burst in a ring slab, a calibration chunk — scores
-  /// in place with zero copies.
+  /// [rows x (num_labels * input_dim)] GEMM against the packed beta, then a
+  /// vectorized per-label MSE reduction: ws.scores(r, l) is bit-identical
+  /// to score_of(x.row(r), l). X is a row-block view (Matrix converts
+  /// implicitly), so a contiguous row range — a drain burst in a ring slab,
+  /// a calibration chunk — scores in place with zero copies.
   void score_batch(linalg::ConstMatrixView x, BatchWorkspace& ws) const;
 
   /// score_batch with the hidden activations H = g(X * A + b) supplied by
@@ -169,18 +172,17 @@ class MultiInstanceModel {
                                  linalg::ConstMatrixView h, BatchWorkspace& ws,
                                  std::span<Prediction> out) const;
 
-  /// Anomaly score of one specific instance.
+  /// Anomaly score of one specific instance (f64, whatever the tier).
   double score_of(std::span<const double> x, std::size_t label,
                   linalg::KernelWorkspace& ws) const;
   double score_of(std::span<const double> x, std::size_t label) const;
 
   /// Predicts, then sequentially trains the winning instance; returns the
-  /// prediction made before training. The workspace overload projects the
-  /// sample once and shares the hidden vector between the fused scorer and
-  /// the winner's training step (err = t - beta^T h reuses it).
+  /// prediction made before training. The sample is projected once and the
+  /// hidden vector is shared between the fused scorer and the winner's
+  /// training step (err = t - beta^T h reuses it).
   Prediction train_closest(std::span<const double> x,
                            linalg::KernelWorkspace& ws);
-  Prediction train_closest(std::span<const double> x);
 
   /// Sequentially trains the given instance on x.
   void train_label(std::span<const double> x, std::size_t label);
@@ -188,24 +190,23 @@ class MultiInstanceModel {
   /// Chunked training: buckets the rows of `x` by `labels[r]` (the winning
   /// instance per row, chosen by the caller — typically from a batch score
   /// of the chunk against the pre-chunk model), then applies ONE rank-k
-  /// Woodbury block update per non-empty bucket via
-  /// Autoencoder::train_batch_from_hidden, repacks that ensemble block, and
-  /// refreshes its f32/i8 replica once per bucket instead of once per
-  /// sample — the requant amortization at the heart of the chunked path.
-  /// `h` must be this model's hidden activations of exactly the rows of `x`
-  /// (same contract as score_batch_from_hidden); `labels` has one winner per
-  /// row. Within a bucket, rows keep their stream order. Equivalent to the
-  /// per-sample winner loop in exact arithmetic when every row's winner is
-  /// computed against the same frozen pre-chunk model, NOT bit-identical —
-  /// callers gate it behind an opt-in chunk size. Allocation-free after
-  /// reserve_chunk_train().
+  /// Woodbury block step (oselm::block_step) per non-empty bucket and
+  /// refreshes that block's f32/i8 replica once per bucket instead of once
+  /// per sample — the requant amortization at the heart of the chunked
+  /// path. `h` must be this model's hidden activations of exactly the rows
+  /// of `x` (same contract as score_batch_from_hidden); `labels` has one
+  /// winner per row. Within a bucket, rows keep their stream order.
+  /// Equivalent to the per-sample winner loop in exact arithmetic when
+  /// every row's winner is computed against the same frozen pre-chunk
+  /// model, NOT bit-identical — callers gate it behind an opt-in chunk
+  /// size. Allocation-free after reserve_chunk_train().
   ChunkTrainStats train_buckets_from_hidden(linalg::ConstMatrixView x,
                                             linalg::ConstMatrixView h,
                                             std::span<const std::size_t> labels,
                                             BatchWorkspace& ws);
 
-  /// Pre-grows every instance's rank-k block scratch and the workspace's
-  /// bucket gather buffers for chunks of up to `chunk` rows.
+  /// Pre-grows the rank-k block-step scratch and the workspace's bucket
+  /// gather buffers for chunks of up to `chunk` rows.
   void reserve_chunk_train(std::size_t chunk, BatchWorkspace& ws);
 
   /// Resets every instance's trainable state, keeping the projection.
@@ -216,35 +217,39 @@ class MultiInstanceModel {
   /// pre-drift label identities.
   void apply_permutation(std::span<const std::size_t> perm);
 
-  const oselm::Autoencoder& instance(std::size_t label) const;
+  /// True once init_train / init_sequential / reset / restore_label ran.
+  bool initialized() const { return initialized_; }
 
-  /// Mutable instance access (persistence / state restoration). Callers
-  /// that mutate an instance's beta through this handle must call
-  /// repack_ensemble() afterwards so the fused scorer sees the new state.
-  oselm::Autoencoder& instance_mutable(std::size_t label);
+  /// Instance `label`'s beta: its column block of packed_beta().
+  linalg::ConstColumnBlock beta(std::size_t label) const;
+  /// Instance `label`'s P = (H^T H + lambda I)^-1 over everything seen.
+  const linalg::Matrix& p(std::size_t label) const;
+  /// Training samples instance `label` absorbed since its last init/reset.
+  std::size_t samples_seen(std::size_t label) const;
+
+  /// Restores one instance's trained state (deserialization path): copies
+  /// `beta` (hidden_dim x input_dim) into the label's block and refreshes
+  /// its tier replica.
+  void restore_label(std::size_t label, const linalg::Matrix& beta,
+                     linalg::Matrix p, std::size_t samples_seen);
+
   const oselm::ProjectionPtr& projection() const { return projection_; }
 
-  /// Rebuilds the packed ensemble beta from every instance's beta (exact
-  /// element copies). The model keeps the mirror in sync through its own
-  /// training APIs; this is only needed after out-of-band mutation via
-  /// instance_mutable() (e.g. checkpoint restore).
-  void repack_ensemble();
-
-  /// Column-blocked view of the whole ensemble: packed(i, c * input_dim + j)
-  /// == instance(c).net().beta()(i, j). One matvec/GEMM against it
-  /// reconstructs every instance at once.
+  /// Every instance's beta, column-blocked: packed(i, c * input_dim + j) is
+  /// instance c's beta(i, j). One matvec/GEMM against it reconstructs every
+  /// instance at once.
   const linalg::Matrix& packed_beta() const { return packed_beta_; }
 
   /// Selects the scoring tier (linalg/numerics.hpp). Training and the f64
-  /// packed master are untouched in every tier; a non-f64 tier builds its
+  /// packed beta are untouched in every tier; a non-f64 tier builds its
   /// shadow replica of the packed beta immediately and keeps it refreshed
-  /// from the master after every beta mutation. Idempotent per tier value.
+  /// from the f64 beta after every mutation. Idempotent per tier value.
   void set_numerics_tier(linalg::NumericsTier tier);
   linalg::NumericsTier numerics_tier() const { return tier_; }
 
   /// Monotone counter bumped every time a replica block is re-narrowed /
-  /// re-quantized from the f64 master — the beta_version discipline's twin
-  /// for the approximate tiers. Stays 0 while the model is in the f64 tier.
+  /// re-quantized from the f64 beta. Stays 0 while the model is in the f64
+  /// tier.
   std::uint64_t quantization_epoch() const { return quantization_epoch_; }
 
   /// The f32 shadow replica (valid while the f32 tier is active).
@@ -255,17 +260,16 @@ class MultiInstanceModel {
     return packed_beta_q_;
   }
 
-  /// Bytes: per-instance trainable state plus the shared projection once.
-  /// Deliberately excludes the packed ensemble mirror: the device profile
-  /// (mcu::StaticPipeline) stores beta exactly once, so the mirror is a
-  /// host-side throughput artifact, not part of the Table 4 working set.
+  /// Bytes of the device working set (cf. mcu::StaticPipeline): the shared
+  /// projection once, the packed beta, every P, the training scratch the
+  /// instances share, and the per-sample score and reconstruction scratch.
   std::size_t memory_bytes() const;
 
-  /// Heap bytes of the host-side scoring copies memory_bytes() leaves out:
-  /// the packed f64 ensemble mirror plus the f32 and i8 tier replicas (only
-  /// the active tier's replica is ever allocated). Together with
-  /// memory_bytes() this is the model's resident serving footprint.
-  std::size_t packed_mirror_bytes() const;
+  /// Heap bytes of the host-side f32 / i8 tier replica memory_bytes() leaves
+  /// out (only the active tier's replica is ever allocated; 0 at f64).
+  /// Together with memory_bytes() this is the model's resident serving
+  /// footprint.
+  std::size_t replica_bytes() const;
 
  private:
   /// Fused scorer core: one matvec of the shared hidden activation `h`
@@ -282,39 +286,39 @@ class MultiInstanceModel {
   void score_batch_core(linalg::ConstMatrixView x, linalg::ConstMatrixView h,
                         BatchWorkspace& ws) const;
 
-  /// Copies instance c's beta into its column block of the packed mirror.
-  void repack_block(std::size_t c);
+  /// Instance c's beta, writable.
+  linalg::ColumnBlock block(std::size_t c);
 
-  /// Replays the rank-1 step of instance c's most recent sequential train
-  /// into the packed mirror (writes only the owning column block; exactly
-  /// the element-wise madds the dense ger applied to the instance's beta).
-  void sync_block_after_train(std::size_t c);
-
-  /// True when every packed block matches its instance's beta version.
-  bool packed_in_sync() const;
+  /// Records a mutation of block c: bumps its version and, in an
+  /// approximate tier, re-derives its replica block.
+  void block_changed(std::size_t c);
 
   /// Re-derives instance c's column block of the active tier's replica from
-  /// the f64 master (narrow for f32, re-quantize with fresh scales for i8)
-  /// and bumps the quantization epoch. No-op contractually excluded: only
-  /// called when tier_ != kExactF64.
+  /// the f64 beta (narrow for f32, re-quantize with fresh scales for i8)
+  /// and bumps the quantization epoch. Only called when tier_ != kExactF64.
   void refresh_replica_block(std::size_t c);
 
-  /// True when every replica block was refreshed at its packed version.
+  /// True when every replica block was refreshed at its block's version.
   bool replicas_in_sync() const;
 
   oselm::ProjectionPtr projection_;
-  std::vector<oselm::Autoencoder> instances_;
-  /// hidden_dim x (num_labels * input_dim): all betas, column-blocked.
+  oselm::OsElmConfig config_;  ///< output_dim == input_dim (autoencoder).
+  /// hidden_dim x (num_labels * input_dim): every beta, column-blocked.
   linalg::Matrix packed_beta_;
-  /// Per-block OsElm::beta_version() snapshot at the last sync.
-  std::vector<std::uint64_t> packed_versions_;
+  std::vector<linalg::Matrix> p_;         ///< Per-label P.
+  std::vector<std::size_t> samples_seen_;  ///< Per-label sample counts.
+  bool initialized_ = false;
+  /// One instance trains at a time, so all of them share this scratch.
+  oselm::TrainScratch scratch_;
 
   linalg::NumericsTier tier_ = linalg::NumericsTier::kExactF64;
   /// f32 shadow of packed_beta_ (kFastF32 tier only).
   linalg::MatrixF32 packed_beta_f32_;
   /// int8 + per-column-scale replica of packed_beta_ (kQuantI8 tier only).
   linalg::QuantizedMatrix packed_beta_q_;
-  /// Per-block packed_versions_ snapshot at the last replica refresh.
+  /// Per-block mutation counter, and its value at the last replica refresh
+  /// (the debug check that no mutation path skips the replica).
+  std::vector<std::uint64_t> block_versions_;
   std::vector<std::uint64_t> replica_versions_;
   std::uint64_t quantization_epoch_ = 0;
 };

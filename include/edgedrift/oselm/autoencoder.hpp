@@ -33,40 +33,10 @@ class Autoencoder {
   /// One sequential training step on sample x.
   void train(std::span<const double> x) { net_.train(x, x); }
 
-  /// Sequential training step with a precomputed hidden activation of x
-  /// (shared-hidden hot path: the ensemble projects once per sample and
-  /// reuses `h` for scoring and training).
-  void train_from_hidden(std::span<const double> h, std::span<const double> x) {
-    net_.train_from_hidden(h, x);
-  }
-
-  /// Rank-k block training on a chunk of samples with precomputed hidden
-  /// activations: one Woodbury P-update absorbs all rows (targets are the
-  /// inputs themselves). Equivalent to row-by-row train_from_hidden() in
-  /// exact arithmetic, not bit-identical — see OsElm::train_batch_from_hidden
-  /// for the contract (beta_version bumps once; rank-1 replay invalid).
-  void train_batch_from_hidden(const linalg::Matrix& h,
-                               const linalg::Matrix& x) {
-    net_.train_batch_from_hidden(h, x);
-  }
-
-  /// Pre-grows the rank-k block-training scratch for chunks of up to
-  /// `max_rows` samples (allocation-free chunked training contract).
-  void reserve_batch(std::size_t max_rows) { net_.reserve_batch(max_rows); }
-
   /// Mean squared reconstruction error of x — the anomaly score. The
-  /// workspace overload is the allocation-free hot path; the convenience
-  /// overload keeps the reconstruction on the stack.
-  double score(std::span<const double> x, linalg::KernelWorkspace& ws) const;
+  /// reconstruction lives on the stack, so concurrent score() calls on a
+  /// frozen instance never share scratch.
   double score(std::span<const double> x) const;
-
-  /// Anomaly score of x from its precomputed hidden activation. `recon` is
-  /// caller scratch of length input_dim(). Bit-identical to score() when `h`
-  /// equals this projection of x (same reconstruction chain, same MSE
-  /// kernel).
-  double score_from_hidden(std::span<const double> h,
-                           std::span<const double> x,
-                           std::span<double> recon) const;
 
   /// Writes the reconstruction of x into `out` (length input_dim()).
   void reconstruct(std::span<const double> x, std::span<double> out) const {
@@ -79,12 +49,6 @@ class Autoencoder {
   std::size_t samples_seen() const { return net_.samples_seen(); }
 
   const OsElm& net() const { return net_; }
-
-  /// Restores trained state (deserialization path).
-  void restore_state(linalg::Matrix beta, linalg::Matrix p,
-                     std::size_t samples_seen) {
-    net_.restore_state(std::move(beta), std::move(p), samples_seen);
-  }
 
   /// Trainable-state bytes; include_projection adds the shared weights.
   /// Includes the per-sample reconstruction scratch score() keeps on the

@@ -10,13 +10,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "edgedrift/linalg/matrix.hpp"
 #include "edgedrift/linalg/updates.hpp"
-#include "edgedrift/linalg/workspace.hpp"
 #include "edgedrift/oselm/projection.hpp"
 
 namespace edgedrift::oselm {
@@ -27,6 +25,61 @@ struct OsElmConfig {
   double reg_lambda = 1e-2;        ///< Ridge term of the initial training.
   double forgetting_factor = 1.0;  ///< 1.0 = plain OS-ELM; <1.0 = ONLAD.
 };
+
+/// Asserts output_dim > 0, reg_lambda > 0 and a forgetting factor in
+/// (0, 1].
+void check_config(const OsElmConfig& config);
+
+/// Grow-only scratch of the update steps below. One per trainer — a
+/// standalone OsElm, or a whole MultiInstanceModel, whose instances train
+/// one at a time and so share it. After reserve_block() (or the first
+/// step at the high-water chunk size) the steps never touch the heap.
+struct TrainScratch {
+  std::vector<double> h;    ///< Projection of the trained sample.
+  std::vector<double> ph;   ///< P h.
+  std::vector<double> err;  ///< t - beta^T h.
+  linalg::WoodburyWorkspace woodbury;  ///< Block-step P-update buffers.
+  linalg::Matrix resid;                ///< Block step: T - H beta, k x out.
+
+  TrainScratch(std::size_t hidden_dim, std::size_t output_dim)
+      : h(hidden_dim), ph(hidden_dim), err(output_dim) {}
+
+  /// Pre-grows the block-step buffers for chunks of up to `max_rows`.
+  void reserve_block(std::size_t max_rows);
+
+  std::size_t memory_bytes() const;
+};
+
+// The OS-ELM update math, written once over (P, one column block of beta):
+// OsElm passes its whole dense beta, MultiInstanceModel one instance's
+// block of the packed ensemble matrix.
+
+/// P = I / reg_lambda: the data-free recursive-least-squares prior.
+void set_prior(linalg::Matrix& p, double reg_lambda);
+
+/// Batch initial training on hidden rows H and targets T:
+/// P = (H^T H + lambda I)^-1, beta = P H^T T.
+void batch_train(linalg::Matrix& p, linalg::ColumnBlock beta,
+                 const linalg::Matrix& h, const linalg::Matrix& t,
+                 double reg_lambda);
+
+/// One sequential step on the hidden activation `h` of a sample with
+/// target `t`: the forgetting-aware Sherman–Morrison P update (with the
+/// covariance-resetting safeguard when forgetting_factor < 1), then
+/// err = t - beta^T h with the pre-update beta and beta += (P h) err^T.
+/// `h` may alias scratch.h.
+void sequential_step(linalg::Matrix& p, linalg::ColumnBlock beta,
+                     std::span<const double> h, std::span<const double> t,
+                     const OsElmConfig& config, TrainScratch& scratch);
+
+/// Rank-k block step on hidden rows H (k x hidden_dim) and targets T:
+/// one symmetric Woodbury P update plus k rank-1 beta passes. Equivalent to
+/// k sequential_step() calls in exact arithmetic when forgetting_factor ==
+/// 1 (which it requires), NOT bit-identical to them (see
+/// linalg/updates.hpp for the rank-1 seam contract).
+void block_step(linalg::Matrix& p, linalg::ColumnBlock beta,
+                const linalg::Matrix& h, const linalg::Matrix& t,
+                const OsElmConfig& config, TrainScratch& scratch);
 
 /// A single OS-ELM regressor over a shared random projection.
 class OsElm {
@@ -57,8 +110,7 @@ class OsElm {
 
   /// Sequential training with a precomputed hidden activation. `h` must be
   /// this network's projection of the trained sample (bit-equal to what
-  /// hidden() would produce); the ensemble hot path computes it once per
-  /// sample and shares it across prediction and training.
+  /// hidden() would produce).
   void train_from_hidden(std::span<const double> h,
                          std::span<const double> t);
 
@@ -66,44 +118,18 @@ class OsElm {
   /// calling train() row by row when forgetting_factor == 1.
   void train_batch(const linalg::Matrix& x, const linalg::Matrix& t);
 
-  /// Rank-k block training with precomputed hidden activations: `h` is
-  /// [k x hidden_dim] rows of this network's projection of the trained
-  /// samples, `t` the matching [k x output_dim] targets. One Woodbury block
-  /// P-update plus one GEMM-pair beta update absorb the whole chunk —
-  /// equivalent to k sequential train_from_hidden() steps in exact
-  /// arithmetic when forgetting_factor == 1 (see linalg/updates.hpp for the
-  /// rank-1 seam contract), but NOT bit-identical to them. This is the
-  /// chunked-training hot path: every intermediate lives in grow-only
-  /// member scratch, so after reserve_batch() (or the first call at the
-  /// high-water chunk size) it is allocation-free. Bumps beta_version_ by
-  /// one for the whole chunk; last_update_ph()/last_update_err() are NOT
-  /// valid after a block step — packed-mirror owners must re-copy the block
-  /// (MultiInstanceModel::repack_block) instead of replaying a rank-1 ger.
+  /// Rank-k block training (block_step) with precomputed hidden
+  /// activations: `h` is [k x hidden_dim] rows of this network's
+  /// projection of the trained samples, `t` the matching [k x output_dim]
+  /// targets.
   void train_batch_from_hidden(const linalg::Matrix& h,
                                const linalg::Matrix& t);
 
-  /// Pre-grows the rank-k block-training scratch (Woodbury workspace,
-  /// transpose/residual/delta buffers) for chunks of up to `max_rows`
-  /// samples, so the first train_batch_from_hidden() after initial training
-  /// already runs allocation-free.
-  void reserve_batch(std::size_t max_rows);
-
-  /// y = prediction for x. `y` must have length output_dim(). The
-  /// workspace overload is the allocation-free hot path: the hidden
-  /// activation lives in `ws`, owned by the caller, so concurrent
-  /// predict() calls on a frozen model never share scratch. The
-  /// convenience overload keeps the activation on the stack (heap only
-  /// for unusually wide hidden layers).
-  void predict(std::span<const double> x, std::span<double> y,
-               linalg::KernelWorkspace& ws) const;
+  /// y = prediction for x. `y` must have length output_dim(). The hidden
+  /// activation lives on the stack (heap only for unusually wide hidden
+  /// layers), so concurrent predict() calls on a frozen model never share
+  /// scratch.
   void predict(std::span<const double> x, std::span<double> y) const;
-
-  /// y = beta^T h for a precomputed hidden activation — the shared-hidden
-  /// entry point of the fused ensemble scorer (and of train()'s own
-  /// prediction-error step). Bit-identical to predict() when `h` equals
-  /// the projection of x.
-  void predict_from_hidden(std::span<const double> h,
-                           std::span<double> y) const;
 
   /// Batch prediction; rows of the result are predictions.
   linalg::Matrix predict_batch(const linalg::Matrix& x) const;
@@ -111,29 +137,11 @@ class OsElm {
   /// Resets beta and P to the data-free prior, keeping the projection.
   void reset();
 
-  /// Restores trained state (deserialization path). Shapes must match the
-  /// projection and output dim.
-  void restore_state(linalg::Matrix beta, linalg::Matrix p,
-                     std::size_t samples_seen);
-
   /// Number of training samples absorbed since the last reset/init.
   std::size_t samples_seen() const { return samples_seen_; }
 
   const linalg::Matrix& beta() const { return beta_; }
   const linalg::Matrix& p() const { return p_; }
-
-  /// Monotone counter bumped on every mutation of beta (init, sequential
-  /// and batch training, reset, restore). Ensemble owners that keep a
-  /// packed mirror of beta use it to detect when a block must be re-packed.
-  std::uint64_t beta_version() const { return beta_version_; }
-
-  /// Rank-1 factors of the most recent sequential train step:
-  /// beta_new = beta_old + last_update_ph ⊗ last_update_err. Valid until
-  /// the next training call. Lets an ensemble owner replay the exact
-  /// element-wise update into a packed mirror of beta without recomputing
-  /// it (see MultiInstanceModel's packed ensemble beta).
-  std::span<const double> last_update_ph() const { return ph_scratch_; }
-  std::span<const double> last_update_err() const { return err_scratch_; }
 
   /// Bytes of trainable state (beta + P + scratch). Pass
   /// include_projection=true to add the shared projection weights.
@@ -144,33 +152,16 @@ class OsElm {
     projection_->hidden(x, h);
   }
 
-  /// RLS covariance resetting: restores P to the data-free prior, keeping
-  /// beta (used when the forgetting factor makes P numerically explode).
-  void reset_p_to_prior();
-
-  /// Shared body of train()/train_from_hidden(): runs the P update and the
-  /// beta rank-1 step against the activation already in h_scratch_.
-  void train_on_hidden(std::span<const double> t);
-
   ProjectionPtr projection_;
   OsElmConfig config_;
   linalg::Matrix beta_;  ///< hidden_dim x output_dim.
   linalg::Matrix p_;     ///< hidden_dim x hidden_dim.
   bool initialized_ = false;
   std::size_t samples_seen_ = 0;
-  std::uint64_t beta_version_ = 1;  ///< Bumped on every beta mutation.
-
-  // Per-sample training scratch, reused to keep the hot path
-  // allocation-free. predict() deliberately does not touch these so it is
-  // safe to call concurrently on a frozen model.
-  std::vector<double> h_scratch_;
-  std::vector<double> ph_scratch_;
-  std::vector<double> err_scratch_;
-  // Block-update intermediates, reused across train_batch() /
-  // train_batch_from_hidden() calls (grow-only; pre-grown by
-  // reserve_batch() for the allocation-free chunked path).
-  linalg::WoodburyWorkspace woodbury_ws_;
-  linalg::Matrix batch_resid_;  ///< T - H beta: k x output_dim.
+  // Training scratch, reused to keep the hot path allocation-free.
+  // predict() deliberately does not touch it so it is safe to call
+  // concurrently on a frozen model.
+  TrainScratch scratch_;
 };
 
 }  // namespace edgedrift::oselm

@@ -18,12 +18,11 @@
 namespace edgedrift::core {
 
 std::size_t PipelineManager::hot_footprint(const Stream& s) const {
-  // Pipeline::memory_bytes() is the device profile (beta stored once); a
-  // hot stream also holds the packed mirror and its tier replica.
+  // Pipeline::memory_bytes() is the device profile; a hot stream also
+  // holds its f32/i8 tier replica.
   std::size_t bytes = 0;
   if (s.pipeline != nullptr) {
-    bytes += s.pipeline->memory_bytes() +
-             s.pipeline->model().packed_mirror_bytes();
+    bytes += s.pipeline->memory_bytes() + s.pipeline->model().replica_bytes();
   }
   bytes += s.slab.size() * sizeof(double);
   bytes += s.labels.capacity() * sizeof(int);

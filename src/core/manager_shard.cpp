@@ -66,8 +66,7 @@ void PipelineManager::shard_worker(Shard& shard) {
       continue;
     }
     const DrainOptions& dopts = options_.drain_opts;
-    const bool planning =
-        dopts.coalesce && options_.drain == DrainMode::kBatch;
+    const bool planning = dopts.coalesce;
     if (planning && dopts.coalesce_wait_ns > 0) {
       // Bounded straggler window: let more ready streams accumulate into
       // this cycle so groups come out wider. The deadline is absolute —

@@ -34,6 +34,7 @@ Trace run_trace(const core::PipelineConfig& base,
   t.theta_error = pipeline.theta_error();
   t.labels.reserve(test.size());
   std::vector<double> scores(config.num_labels);
+  linalg::KernelWorkspace ws;
   if (record_margins) t.margins.reserve(test.size());
   std::vector<core::PipelineStep> steps;
   for (std::size_t at = 0; at < test.size(); at += burst) {
@@ -43,7 +44,7 @@ Trace run_trace(const core::PipelineConfig& base,
       // where the model is frozen — scoring the whole burst before
       // processing it equals scoring each row just before its own step.
       for (std::size_t i = at; i < at + take; ++i) {
-        pipeline.model().scores(test.x.row(i), scores);
+        pipeline.model().scores(test.x.row(i), scores, ws);
         const double best = *std::min_element(scores.begin(), scores.end());
         double second = std::numeric_limits<double>::infinity();
         for (const double s : scores) {

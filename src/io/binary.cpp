@@ -48,10 +48,12 @@ void Writer::write_sizes(std::span<const std::size_t> values) {
   for (const std::size_t v : values) write_u64(v);
 }
 
-void Writer::write_matrix(const linalg::Matrix& m) {
+void Writer::write_matrix(linalg::ConstColumnBlock m) {
   write_u64(m.rows());
   write_u64(m.cols());
-  put(m.data(), m.size() * sizeof(double));
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    put(m.row(i).data(), m.cols() * sizeof(double));
+  }
 }
 
 void Writer::write_header(const std::string& section) {

@@ -123,14 +123,14 @@ bool save_pipeline(std::ostream& out, const core::Pipeline& pipeline) {
   w.write_doubles(projection.bias());
   w.write_u64(projection.fingerprint());
 
-  // Per-instance trained state.
+  // Per-instance trained state; each beta is its block of the packed
+  // matrix, written row by row in the dense per-instance layout.
   const auto& model = pipeline.model();
   w.write_u64(model.num_labels());
   for (std::size_t c = 0; c < model.num_labels(); ++c) {
-    const auto& net = model.instance(c).net();
-    w.write_matrix(net.beta());
-    w.write_matrix(net.p());
-    w.write_u64(net.samples_seen());
+    w.write_matrix(model.beta(c));
+    w.write_matrix(model.p(c));
+    w.write_u64(model.samples_seen(c));
   }
 
   // Detector calibration.
@@ -184,10 +184,10 @@ std::optional<core::Pipeline> load_pipeline(
                   "checkpoint format only restores centroid detector state");
     }
   }
-  // Construct with the persisted effective gate so the rebuilt detector
-  // carries it from the start.
+  // The configured theta_error (0 = calibrate at fit) is kept as persisted,
+  // so a re-save reproduces this blob byte for byte; the calibrated gate
+  // is installed by finish_restore() below.
   core::PipelineConfig effective = config;
-  effective.theta_error = theta_error;
   if (runtime != nullptr) {
     // Runtime-only fields the checkpoint deliberately does not persist:
     // they describe the serving process, not the trained state.
@@ -237,11 +237,8 @@ std::optional<core::Pipeline> load_pipeline(
         p.cols() != config.hidden_dim) {
       return std::nullopt;
     }
-    pipeline.model_mutable().instance_mutable(c).restore_state(
-        std::move(beta), std::move(p), seen);
+    pipeline.model_mutable().restore_label(c, beta, std::move(p), seen);
   }
-  // Out-of-band beta mutation: rebuild the fused scorer's packed mirror.
-  pipeline.model_mutable().repack_ensemble();
 
   // Detector state.
   linalg::Matrix trained, recent;

@@ -348,7 +348,7 @@ void matvec(const Matrix& a, std::span<const double> x, std::span<double> y) {
   }
 }
 
-void matvec_transposed(const Matrix& a, std::span<const double> x,
+void matvec_transposed(ConstColumnBlock a, std::span<const double> x,
                        std::span<double> y) {
   EDGEDRIFT_ASSERT(a.rows() == x.size(), "matvec_t input size mismatch");
   EDGEDRIFT_ASSERT(a.cols() == y.size(), "matvec_t output size mismatch");
@@ -359,7 +359,7 @@ void matvec_transposed(const Matrix& a, std::span<const double> x,
   // the GEMM microkernel's accumulation, which keeps hidden()/predict()
   // bit-identical to hidden_batch()/score_batch() rows.
   for (std::size_t i = 0; i < a.rows(); ++i) {
-    simd::scaled_accumulate(x[i], a.data() + i * n, yp, n);
+    simd::scaled_accumulate(x[i], a.row(i).data(), yp, n);
   }
 }
 
@@ -427,30 +427,14 @@ void matmul_parallel_into(ConstMatrixViewT<float> a, const MatrixF32& b,
       /*min_chunk=*/16);
 }
 
-void ger(Matrix& a, double alpha, std::span<const double> u,
+void ger(ColumnBlock a, double alpha, std::span<const double> u,
          std::span<const double> v) {
   EDGEDRIFT_ASSERT(a.rows() == u.size() && a.cols() == v.size(),
                    "ger shape mismatch");
   const std::size_t n = a.cols();
   const double* EDGEDRIFT_RESTRICT vp = v.data();
   for (std::size_t i = 0; i < a.rows(); ++i) {
-    simd::scaled_accumulate(alpha * u[i], vp, a.data() + i * n, n);
-  }
-}
-
-void ger_block(Matrix& a, std::size_t col_begin, double alpha,
-               std::span<const double> u, std::span<const double> v) {
-  EDGEDRIFT_ASSERT(a.rows() == u.size(), "ger_block row mismatch");
-  EDGEDRIFT_ASSERT(col_begin + v.size() <= a.cols(),
-                   "ger_block column block out of range");
-  const std::size_t n = a.cols();
-  const std::size_t bn = v.size();
-  const double* EDGEDRIFT_RESTRICT vp = v.data();
-  // Same per-row scaled_accumulate as ger(), applied to the strided block:
-  // each block element receives exactly the madd a dense ger would apply.
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    simd::scaled_accumulate(alpha * u[i], vp, a.data() + i * n + col_begin,
-                            bn);
+    simd::scaled_accumulate(alpha * u[i], vp, a.row(i).data(), n);
   }
 }
 

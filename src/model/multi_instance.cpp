@@ -15,17 +15,19 @@ MultiInstanceModel::MultiInstanceModel(std::size_t num_labels,
                                        oselm::ProjectionPtr projection,
                                        double reg_lambda,
                                        double forgetting_factor)
-    : projection_(std::move(projection)) {
+    : projection_(std::move(projection)),
+      config_{projection_ ? projection_->input_dim() : 0, reg_lambda,
+              forgetting_factor},
+      p_(num_labels),
+      samples_seen_(num_labels, 0),
+      scratch_(projection_ ? projection_->hidden_dim() : 0, config_.output_dim),
+      block_versions_(num_labels, 0),
+      replica_versions_(num_labels, 0) {
   EDGEDRIFT_ASSERT(num_labels > 0, "need at least one label");
   EDGEDRIFT_ASSERT(projection_ != nullptr, "projection must not be null");
-  instances_.reserve(num_labels);
-  for (std::size_t i = 0; i < num_labels; ++i) {
-    instances_.emplace_back(projection_, reg_lambda, forgetting_factor);
-  }
-  packed_beta_.resize_zero(projection_->hidden_dim(),
-                           num_labels * projection_->input_dim());
-  packed_versions_.assign(num_labels, 0);
-  replica_versions_.assign(num_labels, 0);
+  oselm::check_config(config_);
+  packed_beta_.resize_zero(hidden_dim(), num_labels * input_dim());
+  for (auto& p : p_) p.resize_zero(hidden_dim(), hidden_dim());
 }
 
 void MultiInstanceModel::set_numerics_tier(linalg::NumericsTier tier) {
@@ -61,16 +63,27 @@ void MultiInstanceModel::refresh_replica_block(std::size_t c) {
     // a column's max|w|, and a stale scale would silently saturate.
     linalg::quantize_block(packed_beta_, packed_beta_q_, c * n, n);
   }
-  replica_versions_[c] = packed_versions_[c];
+  replica_versions_[c] = block_versions_[c];
   ++quantization_epoch_;
 }
 
 bool MultiInstanceModel::replicas_in_sync() const {
-  if (tier_ == linalg::NumericsTier::kExactF64) return true;
-  for (std::size_t c = 0; c < num_labels(); ++c) {
-    if (replica_versions_[c] != packed_versions_[c]) return false;
-  }
-  return true;
+  return tier_ == linalg::NumericsTier::kExactF64 ||
+         replica_versions_ == block_versions_;
+}
+
+linalg::ColumnBlock MultiInstanceModel::block(std::size_t c) {
+  return {packed_beta_, c * input_dim(), input_dim()};
+}
+
+void MultiInstanceModel::block_changed(std::size_t c) {
+  ++block_versions_[c];
+  // Approximate tiers re-derive the whole block from the mutated beta: a
+  // rank-1 step can move a column's max|w|, so the i8 scales must be
+  // recomputed, and replaying the update in f32 would drift from the f64
+  // beta over many steps. Full re-narrow/re-quantize keeps the replica's
+  // error a pure function of the current beta.
+  if (tier_ != linalg::NumericsTier::kExactF64) refresh_replica_block(c);
 }
 
 void MultiInstanceModel::init_train(const linalg::Matrix& x,
@@ -95,37 +108,44 @@ void MultiInstanceModel::init_train(const linalg::Matrix& x,
     const std::size_t label = static_cast<std::size_t>(labels[r]);
     blocks[label].set_row(cursor[label]++, x.row(r));
   }
-  // The per-instance solves are independent — instance state is disjoint,
-  // the shared projection is only read, and repack_block() writes disjoint
-  // column blocks of the mirror — so fan them over the pool. Each solve's
-  // result is a pure function of its block; the fan-out changes which
-  // thread runs a solve, never its operand order, so the trained state is
-  // bit-identical to the sequential loop. Nested parallel_for inside the
-  // solves runs inline on the workers (ThreadPool::in_worker).
+  // The per-instance solves are independent — each writes only its own P
+  // and its own column block of the packed beta, and the shared projection
+  // is only read — so fan them over the pool. Each solve's result is a
+  // pure function of its block; the fan-out changes which thread runs a
+  // solve, never its operand order, so the trained state is bit-identical
+  // to the sequential loop. Nested parallel_for inside the solves runs
+  // inline on the workers (ThreadPool::in_worker).
   util::ThreadPool::global().parallel_for(
       0, num_labels(),
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t label = lo; label < hi; ++label) {
-          instances_[label].init_train(blocks[label]);
-          repack_block(label);
+          oselm::batch_train(p_[label], block(label),
+                             projection_->hidden_batch(blocks[label]),
+                             blocks[label], config_.reg_lambda);
+          samples_seen_[label] = counts[label];
         }
       },
       /*min_chunk=*/1);
-  if (tier_ != linalg::NumericsTier::kExactF64) {
-    for (std::size_t c = 0; c < num_labels(); ++c) refresh_replica_block(c);
-  }
+  // block_changed() bumps the shared quantization epoch, so it runs here,
+  // single-threaded, after the fan-out.
+  for (std::size_t c = 0; c < num_labels(); ++c) block_changed(c);
+  initialized_ = true;
 }
 
 void MultiInstanceModel::init_sequential() {
-  for (auto& inst : instances_) inst.init_sequential();
-  repack_ensemble();
+  packed_beta_.fill(0.0);
+  for (std::size_t c = 0; c < num_labels(); ++c) {
+    oselm::set_prior(p_[c], config_.reg_lambda);
+    samples_seen_[c] = 0;
+    block_changed(c);
+  }
+  initialized_ = true;
 }
 
 void MultiInstanceModel::scores_from_hidden(std::span<const double> h,
                                             std::span<const double> x,
                                             std::span<double> out,
                                             linalg::KernelWorkspace& ws) const {
-  EDGEDRIFT_DASSERT(packed_in_sync(), "packed ensemble beta out of sync");
   EDGEDRIFT_DASSERT(replicas_in_sync(), "tier replica missed a beta update");
   const std::size_t n = input_dim();
   const std::size_t total = num_labels() * n;
@@ -133,14 +153,14 @@ void MultiInstanceModel::scores_from_hidden(std::span<const double> h,
     case linalg::NumericsTier::kExactF64: {
       const std::span<double> recon = ws.recon(total);
       // One matvec against the packed [L x C*n] beta reconstructs all C
-      // instances: element c*n+j is the same ascending-i madd chain the
-      // per-instance matvec_transposed produces for instance c's element j
-      // (scaled_accumulate is element-wise, so the strided block rounds
-      // exactly like the dense per-instance run).
+      // instances: element c*n+j is the same ascending-i madd chain a
+      // matvec_transposed over block c alone produces for its element j
+      // (scaled_accumulate is element-wise, so the wide run rounds exactly
+      // like the per-block one).
       linalg::matvec_transposed(packed_beta_, h, recon);
       for (std::size_t c = 0; c < num_labels(); ++c) {
-        // Same squared_l2_distance kernel as the per-instance score() — one
-        // shared MSE reduction keeps the fused path bit-identical.
+        // Same squared_l2_distance kernel as score_of() — one shared MSE
+        // reduction keeps the fused path bit-identical.
         out[c] = linalg::squared_l2_distance(x, recon.subspan(c * n, n)) /
                  static_cast<double>(n);
       }
@@ -185,19 +205,10 @@ void MultiInstanceModel::scores(std::span<const double> x,
                                 std::span<double> out,
                                 linalg::KernelWorkspace& ws) const {
   EDGEDRIFT_ASSERT(out.size() == num_labels(), "score buffer size mismatch");
-  EDGEDRIFT_ASSERT(instances_.front().initialized(),
-                   "scores() before initialization");
+  EDGEDRIFT_ASSERT(initialized_, "scores() before initialization");
   const std::span<double> h = ws.hidden(hidden_dim());
   projection_->hidden(x, h);
   scores_from_hidden(h, x, out, ws);
-}
-
-void MultiInstanceModel::scores(std::span<const double> x,
-                                std::span<double> out) const {
-  EDGEDRIFT_ASSERT(out.size() == num_labels(), "score buffer size mismatch");
-  for (std::size_t i = 0; i < instances_.size(); ++i) {
-    out[i] = instances_[i].score(x);
-  }
 }
 
 namespace {
@@ -227,7 +238,7 @@ Prediction MultiInstanceModel::predict_from_hidden(
     linalg::KernelWorkspace& ws) const {
   EDGEDRIFT_DASSERT(h.size() == hidden_dim(),
                     "predict_from_hidden hidden size mismatch");
-  EDGEDRIFT_ASSERT(instances_.front().initialized(),
+  EDGEDRIFT_ASSERT(initialized_,
                    "predict_from_hidden() before initialization");
   const std::span<double> s = ws.scores(num_labels());
   scores_from_hidden(h, x, s, ws);
@@ -235,28 +246,14 @@ Prediction MultiInstanceModel::predict_from_hidden(
 }
 
 Prediction MultiInstanceModel::predict(std::span<const double> x) const {
-  // Scores on the stack (heap fallback for very wide label sets) so
-  // concurrent predict() calls on a frozen model never share scratch.
-  constexpr std::size_t kStackLabels = 64;
-  double stack_buf[kStackLabels];
-  std::vector<double> heap_buf;
-  std::span<double> s;
-  if (num_labels() <= kStackLabels) {
-    s = std::span<double>(stack_buf, num_labels());
-  } else {
-    heap_buf.resize(num_labels());
-    s = heap_buf;
-  }
-  scores(x, s);
-  return argmin_score(s);
+  linalg::KernelWorkspace ws;
+  return predict(x, ws);
 }
 
 void MultiInstanceModel::score_batch(linalg::ConstMatrixView x,
                                      BatchWorkspace& ws) const {
   EDGEDRIFT_ASSERT(x.cols() == input_dim(), "batch feature dim mismatch");
-  for (const auto& inst : instances_) {
-    EDGEDRIFT_ASSERT(inst.initialized(), "score_batch() before initialization");
-  }
+  EDGEDRIFT_ASSERT(initialized_, "score_batch() before initialization");
   projection_->hidden_batch_into(x, ws.hidden);
   score_batch_core(x, ws.hidden, ws);
 }
@@ -267,16 +264,13 @@ void MultiInstanceModel::score_batch_from_hidden(linalg::ConstMatrixView x,
   EDGEDRIFT_ASSERT(x.cols() == input_dim(), "batch feature dim mismatch");
   EDGEDRIFT_ASSERT(h.rows() == x.rows() && h.cols() == hidden_dim(),
                    "hidden block shape mismatch");
-  for (const auto& inst : instances_) {
-    EDGEDRIFT_ASSERT(inst.initialized(), "score_batch() before initialization");
-  }
+  EDGEDRIFT_ASSERT(initialized_, "score_batch() before initialization");
   score_batch_core(x, h, ws);
 }
 
 void MultiInstanceModel::score_batch_core(linalg::ConstMatrixView x,
                                           linalg::ConstMatrixView h,
                                           BatchWorkspace& ws) const {
-  EDGEDRIFT_DASSERT(packed_in_sync(), "packed ensemble beta out of sync");
   EDGEDRIFT_DASSERT(replicas_in_sync(), "tier replica missed a beta update");
   ws.scores.resize_discard(x.rows(), num_labels());  // Fully written below.
   const std::size_t n = x.cols();
@@ -356,19 +350,24 @@ double MultiInstanceModel::score_of(std::span<const double> x,
                                     std::size_t label,
                                     linalg::KernelWorkspace& ws) const {
   EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
-  return instances_[label].score(x, ws);
+  EDGEDRIFT_ASSERT(initialized_, "score_of() before initialization");
+  const std::span<double> h = ws.hidden(hidden_dim());
+  const std::span<double> recon = ws.recon(input_dim());
+  projection_->hidden(x, h);
+  linalg::matvec_transposed(beta(label), h, recon);
+  return linalg::squared_l2_distance(x, recon) /
+         static_cast<double>(input_dim());
 }
 
 double MultiInstanceModel::score_of(std::span<const double> x,
                                     std::size_t label) const {
-  EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
-  return instances_[label].score(x);
+  linalg::KernelWorkspace ws;
+  return score_of(x, label, ws);
 }
 
 Prediction MultiInstanceModel::train_closest(std::span<const double> x,
                                              linalg::KernelWorkspace& ws) {
-  EDGEDRIFT_ASSERT(instances_.front().initialized(),
-                   "train_closest() before initialization");
+  EDGEDRIFT_ASSERT(initialized_, "train_closest() before initialization");
   // Project once; the hidden vector feeds both the fused scorer and the
   // winning instance's training step (whose err = t - beta^T h would
   // otherwise recompute the same projection).
@@ -377,29 +376,29 @@ Prediction MultiInstanceModel::train_closest(std::span<const double> x,
   const std::span<double> s = ws.scores(num_labels());
   scores_from_hidden(h, x, s, ws);
   const Prediction pred = argmin_score(s);
-  instances_[pred.label].train_from_hidden(h, x);
-  sync_block_after_train(pred.label);
-  return pred;
-}
-
-Prediction MultiInstanceModel::train_closest(std::span<const double> x) {
-  const Prediction pred = predict(x);
-  instances_[pred.label].train(x);
-  sync_block_after_train(pred.label);
+  oselm::sequential_step(p_[pred.label], block(pred.label), h, x, config_,
+                         scratch_);
+  ++samples_seen_[pred.label];
+  block_changed(pred.label);
   return pred;
 }
 
 void MultiInstanceModel::train_label(std::span<const double> x,
                                      std::size_t label) {
   EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
-  instances_[label].train(x);
-  sync_block_after_train(label);
+  EDGEDRIFT_ASSERT(initialized_, "train_label() before initialization");
+  EDGEDRIFT_ASSERT(x.size() == input_dim(), "x size mismatch");
+  projection_->hidden(x, scratch_.h);
+  oselm::sequential_step(p_[label], block(label), scratch_.h, x, config_,
+                         scratch_);
+  ++samples_seen_[label];
+  block_changed(label);
 }
 
 ChunkTrainStats MultiInstanceModel::train_buckets_from_hidden(
     linalg::ConstMatrixView x, linalg::ConstMatrixView h,
     std::span<const std::size_t> labels, BatchWorkspace& ws) {
-  EDGEDRIFT_ASSERT(instances_.front().initialized(),
+  EDGEDRIFT_ASSERT(initialized_,
                    "train_buckets_from_hidden() before initialization");
   EDGEDRIFT_ASSERT(x.cols() == input_dim(), "chunk feature dim mismatch");
   EDGEDRIFT_ASSERT(h.rows() == x.rows() && h.cols() == hidden_dim(),
@@ -433,15 +432,13 @@ ChunkTrainStats MultiInstanceModel::train_buckets_from_hidden(
       ws.bucket_t.set_row(cursor, x.row(r));
       ++cursor;
     }
-    instances_[c].train_batch_from_hidden(ws.bucket_h, ws.bucket_t);
-    // The block step invalidates the rank-1 replay factors, so the packed
-    // mirror takes a full block copy — and the tier replica one refresh per
-    // BUCKET instead of one per sample, the i8 training-cost amortization.
-    repack_block(c);
-    if (tier_ != linalg::NumericsTier::kExactF64) {
-      refresh_replica_block(c);
-      ++stats.replica_refreshes;
-    }
+    oselm::block_step(p_[c], block(c), ws.bucket_h, ws.bucket_t, config_,
+                      scratch_);
+    samples_seen_[c] += m;
+    // One replica refresh per BUCKET instead of one per sample — the i8
+    // training-cost amortization.
+    block_changed(c);
+    if (tier_ != linalg::NumericsTier::kExactF64) ++stats.replica_refreshes;
     stats.rows += m;
     ++stats.buckets;
   }
@@ -451,104 +448,84 @@ ChunkTrainStats MultiInstanceModel::train_buckets_from_hidden(
 void MultiInstanceModel::reserve_chunk_train(std::size_t chunk,
                                              BatchWorkspace& ws) {
   if (chunk == 0) return;
-  for (auto& inst : instances_) inst.reserve_batch(chunk);
+  scratch_.reserve_block(chunk);
   ws.reserve_chunk_train(chunk, input_dim(), hidden_dim(), num_labels());
 }
 
-void MultiInstanceModel::reset() {
-  for (auto& inst : instances_) inst.reset();
-  repack_ensemble();
-}
+void MultiInstanceModel::reset() { init_sequential(); }
 
 void MultiInstanceModel::apply_permutation(
     std::span<const std::size_t> perm) {
   EDGEDRIFT_ASSERT(perm.size() == num_labels(), "permutation arity mismatch");
-  std::vector<oselm::Autoencoder> reordered;
-  reordered.reserve(instances_.size());
-  for (const std::size_t src : perm) {
-    EDGEDRIFT_ASSERT(src < instances_.size(), "permutation index range");
-    reordered.push_back(std::move(instances_[src]));
-  }
-  instances_ = std::move(reordered);
-  repack_ensemble();
-}
-
-const oselm::Autoencoder& MultiInstanceModel::instance(
-    std::size_t label) const {
-  EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
-  return instances_[label];
-}
-
-oselm::Autoencoder& MultiInstanceModel::instance_mutable(std::size_t label) {
-  EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
-  return instances_[label];
-}
-
-void MultiInstanceModel::repack_block(std::size_t c) {
-  const oselm::OsElm& net = instances_[c].net();
-  const linalg::Matrix& beta = net.beta();
   const std::size_t n = input_dim();
-  const std::size_t stride = packed_beta_.cols();
-  for (std::size_t i = 0; i < hidden_dim(); ++i) {
-    const double* src = beta.data() + i * n;
-    std::copy(src, src + n, packed_beta_.data() + i * stride + c * n);
-  }
-  packed_versions_[c] = net.beta_version();
-  // Replica refresh is the CALLER's duty after repack_block: init_train
-  // fans repack_block over the pool, and refresh_replica_block bumps the
-  // shared quantization epoch, which must stay single-threaded.
-}
-
-void MultiInstanceModel::sync_block_after_train(std::size_t c) {
-  const oselm::OsElm& net = instances_[c].net();
-  EDGEDRIFT_DASSERT(net.beta_version() == packed_versions_[c] + 1,
-                    "packed block missed a beta update");
-  // Replay beta += ph (x) err into the owning column block: ger_block runs
-  // the identical element-wise scaled_accumulate the dense ger applied to
-  // the instance's beta, so the mirror stays bit-equal without a copy.
-  linalg::ger_block(packed_beta_, c * input_dim(), 1.0, net.last_update_ph(),
-                    net.last_update_err());
-  packed_versions_[c] = net.beta_version();
-  // Approximate tiers re-derive the whole block from the mutated master:
-  // a rank-1 step can move a column's max|w|, so the i8 scales must be
-  // recomputed, and replaying the update in f32 would drift from the master
-  // over many steps. Full re-narrow/re-quantize keeps the replica's error a
-  // pure function of the current master.
-  if (tier_ != linalg::NumericsTier::kExactF64) refresh_replica_block(c);
-}
-
-void MultiInstanceModel::repack_ensemble() {
+  linalg::Matrix reordered(packed_beta_.rows(), packed_beta_.cols());
+  std::vector<linalg::Matrix> p(num_labels());
+  std::vector<std::size_t> seen(num_labels());
   for (std::size_t c = 0; c < num_labels(); ++c) {
-    repack_block(c);
-    if (tier_ != linalg::NumericsTier::kExactF64) refresh_replica_block(c);
-  }
-}
-
-bool MultiInstanceModel::packed_in_sync() const {
-  for (std::size_t c = 0; c < num_labels(); ++c) {
-    if (packed_versions_[c] != instances_[c].net().beta_version()) {
-      return false;
+    const std::size_t src = perm[c];
+    EDGEDRIFT_ASSERT(src < num_labels(), "permutation index range");
+    for (std::size_t i = 0; i < packed_beta_.rows(); ++i) {
+      const std::span<const double> from = beta(src).row(i);
+      std::copy(from.begin(), from.end(), reordered.data() +
+                                              i * reordered.cols() + c * n);
     }
+    p[c] = std::move(p_[src]);
+    seen[c] = samples_seen_[src];
   }
-  return true;
+  packed_beta_ = std::move(reordered);
+  p_ = std::move(p);
+  samples_seen_ = std::move(seen);
+  for (std::size_t c = 0; c < num_labels(); ++c) block_changed(c);
+}
+
+linalg::ConstColumnBlock MultiInstanceModel::beta(std::size_t label) const {
+  EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
+  return {packed_beta_, label * input_dim(), input_dim()};
+}
+
+const linalg::Matrix& MultiInstanceModel::p(std::size_t label) const {
+  EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
+  return p_[label];
+}
+
+std::size_t MultiInstanceModel::samples_seen(std::size_t label) const {
+  EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
+  return samples_seen_[label];
+}
+
+void MultiInstanceModel::restore_label(std::size_t label,
+                                       const linalg::Matrix& beta,
+                                       linalg::Matrix p,
+                                       std::size_t samples_seen) {
+  EDGEDRIFT_ASSERT(label < num_labels(), "label out of range");
+  EDGEDRIFT_ASSERT(beta.rows() == hidden_dim() && beta.cols() == input_dim(),
+                   "restored beta shape mismatch");
+  EDGEDRIFT_ASSERT(p.rows() == hidden_dim() && p.cols() == hidden_dim(),
+                   "restored P shape mismatch");
+  const linalg::ColumnBlock dst = block(label);
+  for (std::size_t i = 0; i < hidden_dim(); ++i) {
+    const std::span<const double> src = beta.row(i);
+    std::copy(src.begin(), src.end(), dst.row(i).begin());
+  }
+  p_[label] = std::move(p);
+  samples_seen_[label] = samples_seen;
+  initialized_ = true;
+  block_changed(label);
 }
 
 std::size_t MultiInstanceModel::memory_bytes() const {
-  // num_labels() doubles account for the per-sample score scratch predict()
-  // keeps on the stack — still part of the device working set. The packed
-  // ensemble mirror is deliberately excluded: the device profile stores
-  // each beta exactly once (see the header comment).
-  std::size_t bytes = projection_->memory_bytes() +
-                      num_labels() * sizeof(double);
-  for (const auto& inst : instances_) {
-    bytes += inst.memory_bytes(/*include_projection=*/false);
-  }
+  // num_labels() doubles of score scratch and C * input_dim doubles of
+  // reconstruction scratch are the per-sample buffers the fused scorer
+  // reads and writes — still part of the device working set.
+  std::size_t bytes = projection_->memory_bytes() + packed_beta_.memory_bytes() +
+                      scratch_.memory_bytes() +
+                      (num_labels() + packed_beta_.cols()) * sizeof(double);
+  for (const auto& p : p_) bytes += p.memory_bytes();
   return bytes;
 }
 
-std::size_t MultiInstanceModel::packed_mirror_bytes() const {
-  return packed_beta_.memory_bytes() + packed_beta_f32_.memory_bytes() +
-         packed_beta_q_.memory_bytes();
+std::size_t MultiInstanceModel::replica_bytes() const {
+  return packed_beta_f32_.memory_bytes() + packed_beta_q_.memory_bytes();
 }
 
 }  // namespace edgedrift::model

@@ -12,95 +12,158 @@
 
 namespace edgedrift::oselm {
 
-OsElm::OsElm(ProjectionPtr projection, OsElmConfig config)
-    : projection_(std::move(projection)), config_(config) {
-  EDGEDRIFT_ASSERT(projection_ != nullptr, "projection must not be null");
-  EDGEDRIFT_ASSERT(config_.output_dim > 0, "output_dim must be positive");
-  EDGEDRIFT_ASSERT(config_.reg_lambda > 0.0, "reg_lambda must be positive");
+void check_config(const OsElmConfig& config) {
+  EDGEDRIFT_ASSERT(config.output_dim > 0, "output_dim must be positive");
+  EDGEDRIFT_ASSERT(config.reg_lambda > 0.0, "reg_lambda must be positive");
   EDGEDRIFT_ASSERT(
-      config_.forgetting_factor > 0.0 && config_.forgetting_factor <= 1.0,
+      config.forgetting_factor > 0.0 && config.forgetting_factor <= 1.0,
       "forgetting factor must be in (0, 1]");
-  const std::size_t h = projection_->hidden_dim();
-  beta_.resize_zero(h, config_.output_dim);
-  p_.resize_zero(h, h);
-  h_scratch_.resize(h);
-  ph_scratch_.resize(h);
-  err_scratch_.resize(config_.output_dim);
 }
 
-void OsElm::init_train(const linalg::Matrix& x, const linalg::Matrix& t) {
-  EDGEDRIFT_ASSERT(x.rows() == t.rows(), "X/T row mismatch");
-  EDGEDRIFT_ASSERT(x.cols() == input_dim(), "X feature dim mismatch");
-  EDGEDRIFT_ASSERT(t.cols() == output_dim(), "T target dim mismatch");
-  const linalg::Matrix h = projection_->hidden_batch(x);
-  p_ = linalg::regularized_gram_inverse(h, config_.reg_lambda);
-  beta_ = linalg::matmul(p_, linalg::matmul_at_b(h, t));
-  initialized_ = true;
-  samples_seen_ = x.rows();
-  ++beta_version_;
+void TrainScratch::reserve_block(std::size_t max_rows) {
+  if (max_rows == 0) return;
+  woodbury.reserve(h.size(), max_rows);
+  resid.resize_zero(max_rows, err.size());
 }
 
-void OsElm::init_sequential() {
-  beta_.fill(0.0);
-  p_.fill(0.0);
-  const double prior = 1.0 / config_.reg_lambda;
-  for (std::size_t i = 0; i < p_.rows(); ++i) p_(i, i) = prior;
-  initialized_ = true;
-  samples_seen_ = 0;
-  ++beta_version_;
+std::size_t TrainScratch::memory_bytes() const {
+  return (h.capacity() + ph.capacity() + err.capacity()) * sizeof(double) +
+         woodbury.pu.memory_bytes() + woodbury.core.memory_bytes() +
+         woodbury.vtp.memory_bytes() + woodbury.core_inv_vtp.memory_bytes() +
+         woodbury.delta.memory_bytes() + woodbury.w.memory_bytes() +
+         woodbury.m.memory_bytes() +
+         woodbury.piv.capacity() * sizeof(std::size_t) + resid.memory_bytes();
 }
 
-void OsElm::train(std::span<const double> x, std::span<const double> t) {
-  EDGEDRIFT_ASSERT(initialized_, "train() before initialization");
-  EDGEDRIFT_ASSERT(x.size() == input_dim(), "x size mismatch");
-  EDGEDRIFT_ASSERT(t.size() == output_dim(), "t size mismatch");
-  hidden(x, h_scratch_);
-  train_on_hidden(t);
+void set_prior(linalg::Matrix& p, double reg_lambda) {
+  p.fill(0.0);
+  const double prior = 1.0 / reg_lambda;
+  for (std::size_t i = 0; i < p.rows(); ++i) p(i, i) = prior;
 }
 
-void OsElm::train_from_hidden(std::span<const double> h,
-                              std::span<const double> t) {
-  EDGEDRIFT_ASSERT(initialized_, "train_from_hidden() before initialization");
-  EDGEDRIFT_ASSERT(h.size() == hidden_dim(), "h size mismatch");
-  EDGEDRIFT_ASSERT(t.size() == output_dim(), "t size mismatch");
-  std::copy(h.begin(), h.end(), h_scratch_.begin());
-  train_on_hidden(t);
+void batch_train(linalg::Matrix& p, linalg::ColumnBlock beta,
+                 const linalg::Matrix& h, const linalg::Matrix& t,
+                 double reg_lambda) {
+  EDGEDRIFT_ASSERT(h.rows() == t.rows(), "H/T row mismatch");
+  EDGEDRIFT_ASSERT(h.cols() == beta.rows() && t.cols() == beta.cols(),
+                   "batch_train shape mismatch");
+  p = linalg::regularized_gram_inverse(h, reg_lambda);
+  const linalg::Matrix solved = linalg::matmul(p, linalg::matmul_at_b(h, t));
+  for (std::size_t i = 0; i < beta.rows(); ++i) {
+    const std::span<const double> src = solved.row(i);
+    std::copy(src.begin(), src.end(), beta.row(i).begin());
+  }
 }
 
-void OsElm::train_on_hidden(std::span<const double> t) {
+void sequential_step(linalg::Matrix& p, linalg::ColumnBlock beta,
+                     std::span<const double> h, std::span<const double> t,
+                     const OsElmConfig& config, TrainScratch& scratch) {
+  const std::size_t n = p.rows();
+  EDGEDRIFT_ASSERT(h.size() == n && beta.rows() == n, "h size mismatch");
+  EDGEDRIFT_ASSERT(t.size() == beta.cols(), "t size mismatch");
   // Covariance-resetting safeguard: with a forgetting factor, P grows like
   // alpha^-t in unexcited directions and eventually overflows (a known RLS
   // failure mode). When the trace explodes or the rank-1 step reports a
   // loss of positive definiteness, restart P from the prior while keeping
   // the learned beta — the standard RLS remedy.
-  if (config_.forgetting_factor < 1.0) {
+  if (config.forgetting_factor < 1.0) {
     double trace = 0.0;
-    for (std::size_t i = 0; i < hidden_dim(); ++i) trace += p_(i, i);
-    if (!std::isfinite(trace) ||
-        trace > 1e9 * static_cast<double>(hidden_dim())) {
-      reset_p_to_prior();
+    for (std::size_t i = 0; i < n; ++i) trace += p(i, i);
+    if (!std::isfinite(trace) || trace > 1e9 * static_cast<double>(n)) {
+      set_prior(p, config.reg_lambda);
     }
   }
   // P <- forgetting-aware Sherman–Morrison step.
-  if (!linalg::oselm_p_update(p_, h_scratch_, config_.forgetting_factor,
-                              ph_scratch_)) {
-    reset_p_to_prior();
-    const bool ok = linalg::oselm_p_update(
-        p_, h_scratch_, config_.forgetting_factor, ph_scratch_);
+  if (!linalg::oselm_p_update(p, h, config.forgetting_factor, scratch.ph)) {
+    set_prior(p, config.reg_lambda);
+    const bool ok =
+        linalg::oselm_p_update(p, h, config.forgetting_factor, scratch.ph);
     EDGEDRIFT_ASSERT(ok, "P update failed even from the prior");
   }
   // err = t - beta^T h (prediction error with the pre-update beta). The
   // beta^T h reconstruction is the same kernel the fused ensemble scorer
   // uses, so training reuses a vectorized path instead of a strided
   // column-wise scalar loop.
-  linalg::matvec_transposed(beta_, h_scratch_, err_scratch_);
-  for (std::size_t o = 0; o < output_dim(); ++o) {
-    err_scratch_[o] = t[o] - err_scratch_[o];
-  }
+  const std::span<double> err{scratch.err.data(), beta.cols()};
+  linalg::matvec_transposed(beta, h, err);
+  for (std::size_t o = 0; o < err.size(); ++o) err[o] = t[o] - err[o];
   // beta <- beta + (P_new h) err^T.
-  linalg::matvec(p_, h_scratch_, ph_scratch_);
-  linalg::ger(beta_, 1.0, ph_scratch_, err_scratch_);
-  ++beta_version_;
+  linalg::matvec(p, h, scratch.ph);
+  linalg::ger(beta, 1.0, scratch.ph, err);
+}
+
+void block_step(linalg::Matrix& p, linalg::ColumnBlock beta,
+                const linalg::Matrix& h, const linalg::Matrix& t,
+                const OsElmConfig& config, TrainScratch& scratch) {
+  EDGEDRIFT_ASSERT(h.rows() == t.rows(), "H/T row mismatch");
+  EDGEDRIFT_ASSERT(h.cols() == p.rows(), "H hidden dim mismatch");
+  EDGEDRIFT_ASSERT(t.cols() == beta.cols(), "T target dim mismatch");
+  EDGEDRIFT_ASSERT(config.forgetting_factor == 1.0,
+                   "block update requires forgetting_factor == 1");
+  const std::size_t k = h.rows();
+  if (k == 0) return;
+  // resid = T - H beta with the PRE-update beta, one row at a time through
+  // the same matvec_transposed kernel the per-sample path uses (beta^T h_r).
+  // Must run before the P update below.
+  scratch.resid.resize_discard(k, beta.cols());
+  for (std::size_t r = 0; r < k; ++r) {
+    const std::span<double> resid = scratch.resid.row(r);
+    linalg::matvec_transposed(beta, h.row(r), resid);
+    const double* EDGEDRIFT_RESTRICT tr = t.data() + r * t.cols();
+    for (std::size_t o = 0; o < resid.size(); ++o) resid[o] = tr[o] - resid[o];
+  }
+  // P <- (P^-1 + H^T H)^-1 via the symmetric Woodbury kernel, which takes H
+  // in the row-major layout the drain hands over (no transpose staging) and
+  // leaves M = (P_new H^T)^T in the workspace.
+  const bool ok = linalg::woodbury_update_sym(p, h, scratch.woodbury);
+  EDGEDRIFT_ASSERT(ok, "Woodbury core singular in block training");
+  // beta <- beta + P_new H^T resid = beta + M^T resid, applied as k fused
+  // rank-1 passes — the n^2 d GEMM the naive form needs is already folded
+  // into the Woodbury solve via the P_new H^T = P H^T core^-1 identity.
+  for (std::size_t r = 0; r < k; ++r) {
+    linalg::ger(beta, 1.0, scratch.woodbury.m.row(r), scratch.resid.row(r));
+  }
+}
+
+OsElm::OsElm(ProjectionPtr projection, OsElmConfig config)
+    : projection_(std::move(projection)),
+      config_(config),
+      scratch_(projection_ ? projection_->hidden_dim() : 0, config.output_dim) {
+  EDGEDRIFT_ASSERT(projection_ != nullptr, "projection must not be null");
+  check_config(config_);
+  const std::size_t h = projection_->hidden_dim();
+  beta_.resize_zero(h, config_.output_dim);
+  p_.resize_zero(h, h);
+}
+
+void OsElm::init_train(const linalg::Matrix& x, const linalg::Matrix& t) {
+  EDGEDRIFT_ASSERT(x.rows() == t.rows(), "X/T row mismatch");
+  EDGEDRIFT_ASSERT(x.cols() == input_dim(), "X feature dim mismatch");
+  EDGEDRIFT_ASSERT(t.cols() == output_dim(), "T target dim mismatch");
+  batch_train(p_, beta_, projection_->hidden_batch(x), t, config_.reg_lambda);
+  initialized_ = true;
+  samples_seen_ = x.rows();
+}
+
+void OsElm::init_sequential() {
+  beta_.fill(0.0);
+  set_prior(p_, config_.reg_lambda);
+  initialized_ = true;
+  samples_seen_ = 0;
+}
+
+void OsElm::train(std::span<const double> x, std::span<const double> t) {
+  EDGEDRIFT_ASSERT(initialized_, "train() before initialization");
+  EDGEDRIFT_ASSERT(x.size() == input_dim(), "x size mismatch");
+  hidden(x, scratch_.h);
+  sequential_step(p_, beta_, scratch_.h, t, config_, scratch_);
+  ++samples_seen_;
+}
+
+void OsElm::train_from_hidden(std::span<const double> h,
+                              std::span<const double> t) {
+  EDGEDRIFT_ASSERT(initialized_, "train_from_hidden() before initialization");
+  sequential_step(p_, beta_, h, t, config_, scratch_);
   ++samples_seen_;
 }
 
@@ -117,54 +180,8 @@ void OsElm::train_batch_from_hidden(const linalg::Matrix& h,
                                     const linalg::Matrix& t) {
   EDGEDRIFT_ASSERT(initialized_,
                    "train_batch_from_hidden() before initialization");
-  EDGEDRIFT_ASSERT(h.rows() == t.rows(), "H/T row mismatch");
-  EDGEDRIFT_ASSERT(h.cols() == hidden_dim(), "H hidden dim mismatch");
-  EDGEDRIFT_ASSERT(t.cols() == output_dim(), "T target dim mismatch");
-  EDGEDRIFT_ASSERT(config_.forgetting_factor == 1.0,
-                   "block update requires forgetting_factor == 1");
-  const std::size_t k = h.rows();
-  if (k == 0) return;
-  // resid = T - H beta with the PRE-update beta, one row at a time through
-  // the same matvec_transposed kernel the per-sample path uses (beta^T h_r).
-  // Must run before the P update below.
-  batch_resid_.resize_discard(k, output_dim());
-  for (std::size_t r = 0; r < k; ++r) {
-    const std::span<double> resid = batch_resid_.row(r);
-    linalg::matvec_transposed(beta_, h.row(r), resid);
-    const double* EDGEDRIFT_RESTRICT tr = t.data() + r * output_dim();
-    for (std::size_t o = 0; o < output_dim(); ++o) {
-      resid[o] = tr[o] - resid[o];
-    }
-  }
-  // P <- (P^-1 + H^T H)^-1 via the symmetric Woodbury kernel, which takes H
-  // in the row-major layout the drain hands over (no transpose staging) and
-  // leaves M = (P_new H^T)^T in the workspace.
-  const bool ok = linalg::woodbury_update_sym(p_, h, woodbury_ws_);
-  EDGEDRIFT_ASSERT(ok, "Woodbury core singular in block training");
-  // beta <- beta + P_new H^T resid = beta + M^T resid, applied as k fused
-  // rank-1 passes — the n^2 d GEMM the naive form needs is already folded
-  // into the Woodbury solve via the P_new H^T = P H^T core^-1 identity.
-  for (std::size_t r = 0; r < k; ++r) {
-    linalg::ger(beta_, 1.0, woodbury_ws_.m.row(r), batch_resid_.row(r));
-  }
-  samples_seen_ += k;
-  ++beta_version_;
-}
-
-void OsElm::reserve_batch(std::size_t max_rows) {
-  if (max_rows == 0) return;
-  woodbury_ws_.reserve(hidden_dim(), max_rows);
-  batch_resid_.resize_zero(max_rows, output_dim());
-}
-
-void OsElm::predict(std::span<const double> x, std::span<double> y,
-                    linalg::KernelWorkspace& ws) const {
-  EDGEDRIFT_ASSERT(initialized_, "predict() before initialization");
-  EDGEDRIFT_ASSERT(x.size() == input_dim(), "x size mismatch");
-  EDGEDRIFT_ASSERT(y.size() == output_dim(), "y size mismatch");
-  const std::span<double> h = ws.hidden(hidden_dim());
-  hidden(x, h);
-  linalg::matvec_transposed(beta_, h, y);
+  block_step(p_, beta_, h, t, config_, scratch_);
+  samples_seen_ += h.rows();
 }
 
 void OsElm::predict(std::span<const double> x, std::span<double> y) const {
@@ -188,14 +205,6 @@ void OsElm::predict(std::span<const double> x, std::span<double> y) const {
   linalg::matvec_transposed(beta_, h, y);
 }
 
-void OsElm::predict_from_hidden(std::span<const double> h,
-                                std::span<double> y) const {
-  EDGEDRIFT_ASSERT(initialized_, "predict_from_hidden() before initialization");
-  EDGEDRIFT_ASSERT(h.size() == hidden_dim(), "h size mismatch");
-  EDGEDRIFT_ASSERT(y.size() == output_dim(), "y size mismatch");
-  linalg::matvec_transposed(beta_, h, y);
-}
-
 linalg::Matrix OsElm::predict_batch(const linalg::Matrix& x) const {
   EDGEDRIFT_ASSERT(initialized_, "predict_batch() before initialization");
   return linalg::matmul_parallel(projection_->hidden_batch(x), beta_);
@@ -203,37 +212,9 @@ linalg::Matrix OsElm::predict_batch(const linalg::Matrix& x) const {
 
 void OsElm::reset() { init_sequential(); }
 
-void OsElm::restore_state(linalg::Matrix beta, linalg::Matrix p,
-                          std::size_t samples_seen) {
-  EDGEDRIFT_ASSERT(beta.rows() == hidden_dim() && beta.cols() == output_dim(),
-                   "restored beta shape mismatch");
-  EDGEDRIFT_ASSERT(p.rows() == hidden_dim() && p.cols() == hidden_dim(),
-                   "restored P shape mismatch");
-  beta_ = std::move(beta);
-  p_ = std::move(p);
-  samples_seen_ = samples_seen;
-  initialized_ = true;
-  ++beta_version_;
-}
-
-void OsElm::reset_p_to_prior() {
-  p_.fill(0.0);
-  const double prior = 1.0 / config_.reg_lambda;
-  for (std::size_t i = 0; i < p_.rows(); ++i) p_(i, i) = prior;
-}
-
 std::size_t OsElm::memory_bytes(bool include_projection) const {
-  std::size_t bytes = beta_.memory_bytes() + p_.memory_bytes() +
-                      (h_scratch_.capacity() + ph_scratch_.capacity() +
-                       err_scratch_.capacity()) *
-                          sizeof(double);
-  bytes += woodbury_ws_.pu.memory_bytes() + woodbury_ws_.core.memory_bytes() +
-           woodbury_ws_.vtp.memory_bytes() +
-           woodbury_ws_.core_inv_vtp.memory_bytes() +
-           woodbury_ws_.delta.memory_bytes() + woodbury_ws_.w.memory_bytes() +
-           woodbury_ws_.m.memory_bytes() +
-           woodbury_ws_.piv.capacity() * sizeof(std::size_t);
-  bytes += batch_resid_.memory_bytes();
+  std::size_t bytes =
+      beta_.memory_bytes() + p_.memory_bytes() + scratch_.memory_bytes();
   if (include_projection) bytes += projection_->memory_bytes();
   return bytes;
 }

@@ -195,8 +195,9 @@ TEST(AllocationFree, SteadyStateFusedTrainClosestDoesNotAllocate) {
   GTEST_SKIP() << "allocation hooks disabled under sanitizers";
 #else
   // The fused predict-then-train step: shared hidden projection, packed
-  // matvec, Sherman–Morrison update, ger_block mirror replay — all against
-  // caller-owned or instance-owned grow-only scratch.
+  // matvec, Sherman–Morrison update and the rank-1 step on the winner's
+  // packed beta block — all against caller-owned or model-owned grow-only
+  // scratch.
   constexpr std::size_t kDim = 300;
   constexpr std::size_t kHidden = 280;
   constexpr std::size_t kLabels = 2;

@@ -186,11 +186,14 @@ TEST(ChunkedTrain, BlockUpdateMatchesSequentialOnBetaAndP) {
   Rng rng(31);
   auto projection = edgedrift::oselm::make_projection(
       kDim, kHidden, edgedrift::oselm::Activation::kSigmoid, rng);
-  edgedrift::oselm::Autoencoder sequential(projection);
-  edgedrift::oselm::Autoencoder blocked(projection);
+  // Autoencoder-shaped nets: targets are the inputs.
+  edgedrift::oselm::OsElmConfig config;
+  config.output_dim = kDim;
+  edgedrift::oselm::OsElm sequential(projection, config);
+  edgedrift::oselm::OsElm blocked(projection, config);
   const Matrix init = gaussian_rows(60, kDim, 0.4, 0.3, rng);
-  sequential.init_train(init);
-  blocked.init_train(init);
+  sequential.init_train(init, init);
+  blocked.init_train(init, init);
 
   for (const std::size_t k : {2u, 4u, 8u}) {
     SCOPED_TRACE("chunk = " + std::to_string(k));
@@ -202,12 +205,12 @@ TEST(ChunkedTrain, BlockUpdateMatchesSequentialOnBetaAndP) {
     }
     blocked.train_batch_from_hidden(h, chunk);
 
-    const double beta_scale = std::max(max_abs(sequential.net().beta()), 1.0);
-    EXPECT_LE(max_abs_diff(sequential.net().beta(), blocked.net().beta()) /
+    const double beta_scale = std::max(max_abs(sequential.beta()), 1.0);
+    EXPECT_LE(max_abs_diff(sequential.beta(), blocked.beta()) /
                   beta_scale,
               1e-9);
-    const double p_scale = std::max(max_abs(sequential.net().p()), 1.0);
-    EXPECT_LE(max_abs_diff(sequential.net().p(), blocked.net().p()) / p_scale,
+    const double p_scale = std::max(max_abs(sequential.p()), 1.0);
+    EXPECT_LE(max_abs_diff(sequential.p(), blocked.p()) / p_scale,
               1e-9);
     EXPECT_EQ(blocked.samples_seen(), sequential.samples_seen());
   }
@@ -259,17 +262,19 @@ TEST(ChunkedTrain, BucketedTrainingMatchesSequentialWinnerLoop) {
 
   for (std::size_t c = 0; c < kLabels; ++c) {
     SCOPED_TRACE("instance " + std::to_string(c));
-    const Matrix& want = sequential.instance(c).net().beta();
-    const Matrix& got = bucketed.instance(c).net().beta();
-    const double scale = std::max(max_abs(want), 1.0);
-    EXPECT_LE(max_abs_diff(want, got) / scale, 1e-9);
-    // The packed mirror must hold exactly the blocked model's betas — the
-    // block path repacks, never replays a rank-1 ger.
+    const auto want = sequential.beta(c);
+    const auto got = bucketed.beta(c);
+    double scale = 1.0;
+    double diff = 0.0;
     for (std::size_t i = 0; i < kHidden; ++i) {
       for (std::size_t j = 0; j < kDim; ++j) {
+        scale = std::max(scale, std::abs(want(i, j)));
+        diff = std::max(diff, std::abs(want(i, j) - got(i, j)));
+        // The per-label accessor is a view of the packed matrix itself.
         EXPECT_EQ(bucketed.packed_beta()(i, c * kDim + j), got(i, j));
       }
     }
+    EXPECT_LE(diff / scale, 1e-9);
   }
 }
 

@@ -250,10 +250,11 @@ TEST(Eviction, StatsCarryAcrossEvictRestoreCycles) {
 }
 
 // hot_bytes is the hot-budget unit, so it must count what a resident stream
-// really holds: on top of the device-profile Pipeline::memory_bytes() (beta
-// stored once), the packed f64 ensemble mirror and the active tier's
-// replica — here the i8 codes and scales — both when the stream is first
-// registered and after a cold restore recomputes the footprint.
+// really holds: on top of the device-profile Pipeline::memory_bytes()
+// (which counts the packed beta, the only f64 copy of every instance's
+// beta), the active tier's replica — here the i8 codes and scales — both
+// when the stream is first registered and after a cold restore recomputes
+// the footprint.
 TEST(Eviction, HotBytesCountPackedMirrorAndTierReplica) {
   const StreamData data = make_drift_stream(500, 100);
   PipelineConfig i8_config = make_config();
@@ -266,9 +267,11 @@ TEST(Eviction, HotBytesCountPackedMirrorAndTierReplica) {
   const auto& model = i8.stream(0).model();
   const std::size_t replica = model.packed_beta_q().memory_bytes();
   ASSERT_GT(replica, 0u);
+  EXPECT_EQ(model.replica_bytes(), replica);
+  EXPECT_EQ(f64.stream(0).model().replica_bytes(), 0u);
+  EXPECT_GE(i8.stream(0).memory_bytes(), model.packed_beta().memory_bytes());
   const std::uint64_t i8_hot = i8.stats().shards[0].hot_bytes;
-  EXPECT_GE(i8_hot, i8.stream(0).memory_bytes() +
-                        model.packed_beta().memory_bytes() + replica);
+  EXPECT_GE(i8_hot, i8.stream(0).memory_bytes() + replica);
   // Same config bar the tier: the replica is the whole difference.
   EXPECT_EQ(i8_hot - f64.stats().shards[0].hot_bytes, replica);
 

@@ -3,10 +3,13 @@
 // reference under chunked drain, ring-wrap tails, backpressure kBlock vs
 // kReject, manual dispatch (submit-then-poll), multi-producer submission
 // into distinct streams, telemetry accounting, and the typed SubmitStatus
-// errors on malformed requests (unknown id, partial label span, bad width).
+// errors on malformed requests (unknown id, partial label span, bad width,
+// non-finite values).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -20,7 +23,6 @@ namespace {
 
 using edgedrift::core::BackpressurePolicy;
 using edgedrift::core::DispatchMode;
-using edgedrift::core::DrainMode;
 using edgedrift::core::ManagerOptions;
 using edgedrift::core::Pipeline;
 using edgedrift::core::PipelineConfig;
@@ -234,26 +236,6 @@ TEST(Ingestion, ManualDispatchPollMatchesSequential) {
   EXPECT_EQ(manager.telemetry(0).processed, data[0].test.size());
 }
 
-// The retained sample-wise drain baseline must produce the identical step
-// stream — it is the same pipeline at a different drain granularity.
-TEST(Ingestion, SampleDrainModeMatchesBatchDrainMode) {
-  const auto data = make_streams(1, 800);
-  ManagerOptions batch_options;
-  batch_options.drain = DrainMode::kBatch;
-  ManagerOptions sample_options;
-  sample_options.drain = DrainMode::kSample;
-
-  std::vector<std::vector<PipelineStep>> steps;
-  for (const ManagerOptions& options : {batch_options, sample_options}) {
-    PipelineManager manager(make_config(), 1, options);
-    manager.fit(0, data[0].train.x, data[0].train.labels);
-    manager.submit_batch(0, data[0].test.x);
-    manager.drain();
-    steps.push_back(manager.take_steps(0));
-  }
-  expect_steps_equal(steps[1], steps[0]);
-}
-
 // Several producer threads, each feeding its own stream through batch
 // submits against a small ring: per-stream FIFO and bit-identity must hold
 // for every stream.
@@ -381,6 +363,69 @@ TEST(Ingestion, SubmitReturnsTypedErrorsInsteadOfAsserting) {
   EXPECT_EQ(status, SubmitStatus::kOk);
   manager.drain();
   EXPECT_EQ(manager.telemetry(0).processed, 1u);
+}
+
+// One NaN feature at row 500 of a stream whose real drift starts at row
+// 1000. Admitted, the NaN would reach its label's running centroid: the
+// detector's distance turns NaN, every threshold comparison is false, and
+// the drift is never detected. Refused at admission, it never reaches the
+// model, and the drift is detected as on a clean stream.
+TEST(Ingestion, NonFiniteRowIsRefusedAndDriftStillDetected) {
+  constexpr std::size_t kRows = 2000;  // Drift at kRows / 2 = 1000.
+  constexpr std::size_t kBadRow = 500;
+  const auto data = make_streams(1, kRows);
+  PipelineManager manager(make_config(), 1);
+  manager.fit(0, data[0].train.x, data[0].train.labels);
+
+  std::vector<double> row(data[0].test.dim());
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const auto src = data[0].test.x.row(i);
+    std::copy(src.begin(), src.end(), row.begin());
+    if (i == kBadRow) row[3] = std::numeric_limits<double>::quiet_NaN();
+    SubmitStatus status = SubmitStatus::kOk;
+    const bool accepted = manager.submit(0, row, -1, &status);
+    EXPECT_EQ(accepted, i != kBadRow) << "row " << i;
+    EXPECT_EQ(status,
+              i == kBadRow ? SubmitStatus::kNonFinite : SubmitStatus::kOk);
+  }
+  manager.drain();
+  const std::vector<PipelineStep> steps = manager.take_steps(0);
+  ASSERT_EQ(steps.size(), kRows - 1);
+  EXPECT_EQ(manager.telemetry(0).non_finite.load(), 1u);
+  EXPECT_EQ(manager.telemetry(0).submitted, kRows - 1);
+
+  bool detected = false;
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    const std::size_t source_row = k < kBadRow ? k : k + 1;
+    if (steps[k].drift_detected && source_row >= kRows / 2) detected = true;
+  }
+  EXPECT_TRUE(detected) << "the real drift at row " << kRows / 2
+                        << " was never detected";
+}
+
+// A block holding any NaN or Inf is refused whole, like a bad label span:
+// nothing reaches the ring, and the stream keeps serving good rows.
+TEST(Ingestion, NonFiniteBlockIsRefusedWhole) {
+  const auto data = make_streams(1, 100);
+  PipelineManager manager(make_config(), 1);
+  manager.fit(0, data[0].train.x, data[0].train.labels);
+
+  SubmitStatus status = SubmitStatus::kOk;
+  edgedrift::linalg::Matrix block = data[0].test.x;
+  block(block.rows() - 1, 0) = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(manager.submit_batch(0, block, {}, &status), 0u);
+  EXPECT_EQ(status, SubmitStatus::kNonFinite);
+  block(block.rows() - 1, 0) = -std::numeric_limits<double>::infinity();
+  EXPECT_EQ(manager.submit_batch(0, block, {}, &status), 0u);
+  EXPECT_EQ(status, SubmitStatus::kNonFinite);
+  EXPECT_EQ(manager.telemetry(0).non_finite.load(), 2u);
+  EXPECT_EQ(manager.telemetry(0).submitted, 0u);
+
+  EXPECT_EQ(manager.submit_batch(0, data[0].test.x, {}, &status),
+            data[0].test.size());
+  EXPECT_EQ(status, SubmitStatus::kOk);
+  manager.drain();
+  EXPECT_EQ(manager.telemetry(0).processed, data[0].test.size());
 }
 
 }  // namespace

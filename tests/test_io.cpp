@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "edgedrift/core/pipeline.hpp"
 #include "edgedrift/data/drift_stream.hpp"
@@ -14,6 +16,9 @@ namespace {
 
 using edgedrift::core::Pipeline;
 using edgedrift::core::PipelineConfig;
+using edgedrift::core::PipelineStep;
+using edgedrift::linalg::KernelWorkspace;
+using edgedrift::linalg::NumericsTier;
 using edgedrift::io::Reader;
 using edgedrift::io::Writer;
 using edgedrift::linalg::Matrix;
@@ -275,5 +280,110 @@ TEST(Checkpoint, RandomSingleByteCorruptionIsAlwaysRejected) {
         << static_cast<int>(flip);
   }
 }
+
+// save -> load -> save must reproduce the blob byte for byte: each beta,
+// a column block of the model's packed matrix, serializes losslessly in
+// the dense per-instance layout, and a restore writes it straight back
+// into its block. The configured theta_error
+// (0 = calibrate at fit) also survives: the calibrated gate travels in its
+// own field.
+void expect_resave_identical(const Pipeline& pipeline) {
+  std::stringstream first;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(first, pipeline));
+  const std::string blob = first.str();
+  std::stringstream in(blob);
+  auto restored = edgedrift::io::load_pipeline(in);
+  ASSERT_TRUE(restored.has_value());
+  std::stringstream second;
+  ASSERT_TRUE(edgedrift::io::save_pipeline(second, *restored));
+  EXPECT_TRUE(second.str() == blob) << "re-saved blob differs";
+}
+
+class CheckpointResave : public ::testing::TestWithParam<NumericsTier> {};
+
+TEST_P(CheckpointResave, ByteIdenticalAfterModelMutations) {
+  Rng rng(5);
+  auto scenario = make_scenario(rng);
+  PipelineConfig config = small_config();
+  config.numerics = GetParam();
+  Pipeline pipeline(config);
+  pipeline.fit(scenario.train.x, scenario.train.labels);
+  {
+    SCOPED_TRACE("after init_train");
+    expect_resave_identical(pipeline);
+  }
+
+  KernelWorkspace ws;
+  for (std::size_t i = 0; i < 50; ++i) {
+    pipeline.model_mutable().train_closest(scenario.stream.x.row(i), ws);
+  }
+  {
+    SCOPED_TRACE("after 50 sequential train steps");
+    expect_resave_identical(pipeline);
+  }
+
+  pipeline.model_mutable().apply_permutation(std::vector<std::size_t>{1, 0});
+  {
+    SCOPED_TRACE("after apply_permutation");
+    expect_resave_identical(pipeline);
+  }
+}
+
+TEST_P(CheckpointResave, ByteIdenticalMidStreamAfterChunkedRecovery) {
+  Rng rng(6);
+  edgedrift::data::GaussianClass a;
+  a.mean.assign(6, 0.25);
+  a.stddev = {0.1};
+  edgedrift::data::GaussianClass b;
+  b.mean.assign(6, 0.75);
+  b.stddev = {0.1};
+  const edgedrift::data::GaussianConcept before({a, b});
+  for (auto* cls : {&a, &b}) {
+    for (std::size_t j = 0; j < 6; j += 2) cls->mean[j] += 0.6;
+  }
+  const edgedrift::data::GaussianConcept after({a, b});
+  const auto train = edgedrift::data::draw(before, 300, rng);
+  const auto stream =
+      edgedrift::data::make_sudden_drift(before, after, 1200, 300, rng);
+
+  PipelineConfig config = small_config();
+  config.numerics = GetParam();
+  config.detector_initial_count = 0;
+  config.reconstruction.n_search = 20;
+  config.reconstruction.n_update = 100;
+  config.reconstruction.n_total = 400;
+  config.train_chunk = 4;
+  Pipeline pipeline(config);
+  pipeline.fit(train.x, train.labels);
+
+  // Drain in bursts (the chunked path trains only inside batches) until a
+  // recovery has finished, then a little further into the stream.
+  std::vector<PipelineStep> steps;
+  std::size_t at = 0;
+  std::size_t finished_at = 0;
+  constexpr std::size_t kBurst = 16;
+  while (at + kBurst <= stream.size() &&
+         (finished_at == 0 || at < finished_at + 3 * kBurst)) {
+    steps.clear();
+    pipeline.process_batch_range(stream.x, at, at + kBurst, {}, steps);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      if (steps[i].reconstruction_finished && finished_at == 0) {
+        finished_at = at + i;
+      }
+    }
+    at += kBurst;
+  }
+  ASSERT_GT(finished_at, 0u) << "no recovery finished";
+  ASSERT_FALSE(pipeline.recovering());
+  if (edgedrift::obs::kObsCompiled) {
+    ASSERT_GT(pipeline.obs().counters.snapshot().chunk_trains, 0u)
+        << "recovery did not run through the chunked path";
+  }
+  expect_resave_identical(pipeline);
+}
+
+INSTANTIATE_TEST_SUITE_P(Tiers, CheckpointResave,
+                         ::testing::Values(NumericsTier::kExactF64,
+                                           NumericsTier::kQuantI8));
 
 }  // namespace

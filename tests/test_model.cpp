@@ -7,6 +7,7 @@
 
 namespace {
 
+using edgedrift::linalg::KernelWorkspace;
 using edgedrift::linalg::Matrix;
 using edgedrift::model::MultiInstanceModel;
 using edgedrift::model::Prediction;
@@ -81,7 +82,8 @@ TEST(MultiInstanceModel, ScoreOfMatchesScoresVector) {
   model.init_train(data.x, data.labels);
 
   std::vector<double> scores(2);
-  model.scores(data.x.row(0), scores);
+  KernelWorkspace ws;
+  model.scores(data.x.row(0), scores, ws);
   EXPECT_DOUBLE_EQ(scores[0], model.score_of(data.x.row(0), 0));
   EXPECT_DOUBLE_EQ(scores[1], model.score_of(data.x.row(0), 1));
 }
@@ -94,7 +96,8 @@ TEST(MultiInstanceModel, PredictionScoreIsMinimum) {
 
   const Prediction pred = model.predict(data.x.row(5));
   std::vector<double> scores(2);
-  model.scores(data.x.row(5), scores);
+  KernelWorkspace ws;
+  model.scores(data.x.row(5), scores, ws);
   EXPECT_DOUBLE_EQ(pred.score, std::min(scores[0], scores[1]));
 }
 
@@ -104,14 +107,15 @@ TEST(MultiInstanceModel, TrainClosestUpdatesWinningInstance) {
   auto model = make_model(rng);
   model.init_train(data.x, data.labels);
 
-  const auto seen_before_0 = model.instance(0).samples_seen();
-  const auto seen_before_1 = model.instance(1).samples_seen();
-  const Prediction pred = model.train_closest(data.x.row(0));
+  const auto seen_before_0 = model.samples_seen(0);
+  const auto seen_before_1 = model.samples_seen(1);
+  KernelWorkspace ws;
+  const Prediction pred = model.train_closest(data.x.row(0), ws);
   if (pred.label == 0) {
-    EXPECT_EQ(model.instance(0).samples_seen(), seen_before_0 + 1);
-    EXPECT_EQ(model.instance(1).samples_seen(), seen_before_1);
+    EXPECT_EQ(model.samples_seen(0), seen_before_0 + 1);
+    EXPECT_EQ(model.samples_seen(1), seen_before_1);
   } else {
-    EXPECT_EQ(model.instance(1).samples_seen(), seen_before_1 + 1);
+    EXPECT_EQ(model.samples_seen(1), seen_before_1 + 1);
   }
 }
 
@@ -121,8 +125,8 @@ TEST(MultiInstanceModel, TrainLabelTargetsSpecificInstance) {
   model.init_sequential();
   std::vector<double> x{0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
   model.train_label(x, 1);
-  EXPECT_EQ(model.instance(0).samples_seen(), 0u);
-  EXPECT_EQ(model.instance(1).samples_seen(), 1u);
+  EXPECT_EQ(model.samples_seen(0), 0u);
+  EXPECT_EQ(model.samples_seen(1), 1u);
 }
 
 TEST(MultiInstanceModel, InitSequentialGivesUniformScores) {
@@ -132,7 +136,8 @@ TEST(MultiInstanceModel, InitSequentialGivesUniformScores) {
   // Zero beta everywhere: both instances give identical MSE = mean(x^2).
   std::vector<double> x{0.5, 0.5, 0.5, 0.5, 0.5, 0.5};
   std::vector<double> scores(2);
-  model.scores(x, scores);
+  KernelWorkspace ws;
+  model.scores(x, scores, ws);
   EXPECT_DOUBLE_EQ(scores[0], scores[1]);
   EXPECT_DOUBLE_EQ(scores[0], 0.25);
 }
@@ -143,8 +148,8 @@ TEST(MultiInstanceModel, ResetRestoresSequentialPrior) {
   auto model = make_model(rng);
   model.init_train(data.x, data.labels);
   model.reset();
-  EXPECT_EQ(model.instance(0).samples_seen(), 0u);
-  EXPECT_EQ(model.instance(1).samples_seen(), 0u);
+  EXPECT_EQ(model.samples_seen(0), 0u);
+  EXPECT_EQ(model.samples_seen(1), 0u);
 }
 
 TEST(MultiInstanceModel, PermutationSwapsInstances) {
