@@ -1,12 +1,12 @@
 // Serving-layer throughput: PipelineManager ring-buffer ingestion with the
-// chunked process_batch() drain against a per-row baseline — a plain loop
+// chunked process_block() drain against a per-row baseline — a plain loop
 // of Pipeline::process() over the same rows on the same fitted pipelines.
 //
 // Both run inside the same binary over the same stationary pre-drift
 // stream (drain cost is the object of measurement, so no recovery may
 // intervene), interleaved rep by rep with the best-of throughput reported
 // per side — the noise-mitigation protocol for single-core containers.
-// process_batch() is bit-identical to process() row by row
+// process_block() is bit-identical to process() row by row
 // (tests/test_ingestion.cpp), so the speedup is free.
 //
 // Three configurations span the regime: NSL-KDD-like (d=38, C=2), where

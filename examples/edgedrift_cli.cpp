@@ -259,6 +259,12 @@ int run_serve(const Options& opts, const data::Dataset& train,
   manager.fit(0, train.x, train.labels);
   if (opts.streams > 1) manager.seed_cold_from(0, opts.streams - 1);
 
+  // The manager keeps every step it produces until they are taken, so each
+  // stream's steps are handed back into one reused buffer at least once per
+  // ring's worth of rows submitted to it: memory stays bounded however long
+  // the stream runs.
+  std::vector<core::PipelineStep> steps;
+  std::vector<std::size_t> since_take(opts.streams, 0);
   util::Stopwatch clock;
   for (std::size_t i = 0; i < test.size(); ++i) {
     const std::size_t id = i % opts.streams;
@@ -267,6 +273,11 @@ int run_serve(const Options& opts, const data::Dataset& train,
       std::fprintf(stderr, "submit to stream %zu failed (status %d)\n", id,
                    static_cast<int>(status));
       return 1;
+    }
+    if (++since_take[id] == mopts.queue_capacity) {
+      steps.clear();
+      manager.take_steps(id, steps);
+      since_take[id] = 0;
     }
   }
   manager.drain();

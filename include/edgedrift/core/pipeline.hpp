@@ -15,7 +15,8 @@
 //     // step.prediction, step.drift_detected, step.reconstructing ...
 //   }
 // or, when samples arrive in blocks:
-//   auto steps = pipeline.process_batch(block);   // == process() row by row
+//   std::vector<core::PipelineStep> steps;
+//   pipeline.process_block(block, {}, steps);   // == process() row by row
 #pragma once
 
 #include <cstddef>
@@ -80,7 +81,7 @@ struct PipelineConfig {
 
   drift::ReconstructorConfig reconstruction;
 
-  /// Largest block process_batch() scores through the GEMM kernels at once
+  /// Largest chunk process_block() scores through the GEMM kernels at once
   /// (bounds the batch workspace size).
   std::size_t max_batch_rows = 256;
 
@@ -88,13 +89,13 @@ struct PipelineConfig {
   /// per-sample recovery path, bit-identical to every release so far. A
   /// value k > 1 lets a batched drain consume recovery training samples in
   /// chunks of up to k: the chunk's winners are bucketed per instance, each
-  /// bucket absorbed by one Woodbury block update
-  /// (OsElm::train_batch_from_hidden), and the f32/i8 replica requantized
-  /// once per bucket instead of once per sample. Decision-equivalent, not
-  /// bit-identical, to the per-sample path (validated for k in {2,4,8} by
-  /// tests/test_chunked_train.cpp across all numerics tiers); the effective
-  /// chunk is capped by max_batch_rows. Scalar process() always stays
-  /// per-sample — chunking is a property of the batch entry points.
+  /// bucket absorbed by one Woodbury block update (oselm::block_step), and
+  /// the f32/i8 replica requantized once per bucket instead of once per
+  /// sample. Decision-equivalent, not bit-identical, to the per-sample path
+  /// (validated for k in {2,4,8} by tests/test_chunked_train.cpp across all
+  /// numerics tiers); the effective chunk is capped by max_batch_rows.
+  /// Scalar process() and 1-row blocks always stay per-sample — chunking is
+  /// a property of multi-row process_block() calls.
   std::size_t train_chunk = 1;
 
   /// Scoring numerics tier (linalg/numerics.hpp): kExactF64 is the
@@ -162,58 +163,35 @@ class Pipeline {
   /// ADWIN) their supervised mistake stream; it is never shown to the model.
   PipelineStep process(std::span<const double> x, int true_label = -1);
 
-  /// Processes a block of samples, scoring them through the GEMM batch
-  /// kernels while the model is frozen. Results are sample-for-sample
-  /// bit-identical to calling process() row by row; the pipeline falls back
-  /// to the sequential path while a recovery is training the model.
-  /// `true_labels` is empty or one label per row.
-  std::vector<PipelineStep> process_batch(
-      const linalg::Matrix& x, std::span<const int> true_labels = {});
-
-  /// Core of process_batch(): appends the steps for rows
-  /// [row_begin, row_end) of `x` to `out` without clearing it. This is the
-  /// drain entry point for PipelineManager's ring buffer — the ring's slab
-  /// is the matrix and a drain burst is a row range, so no per-drain copy
-  /// or allocation happens here (out must have capacity; the internal chunk
-  /// buffers are grow-only). `true_labels` is empty or holds at least
-  /// row_end entries, indexed by absolute row (-1 = no label).
-  void process_batch_range(const linalg::Matrix& x, std::size_t row_begin,
-                           std::size_t row_end,
-                           std::span<const int> true_labels,
-                           std::vector<PipelineStep>& out);
-
-  /// process_batch_range with the hidden-space projection supplied by the
-  /// caller: `hidden` row i holds g(x.row(i) * A + b) for this pipeline's
-  /// projection (or any projection with an equal fingerprint — see
-  /// projection_fingerprint()). This is the scatter half of the serving
-  /// layer's coalesced drain: the shard worker projects one mega-batch for
-  /// a whole projection group, then each member stream scores its row block
-  /// through here without re-running the GEMM. The projection is immutable
-  /// and row-independent, so the steps are bit-identical to
-  /// process_batch_range() on the same rows at f64 and identical in the
-  /// approximate tiers — including across a mid-range drift: once a
-  /// recovery starts, the remaining rows fall back to the sequential
-  /// recovery path exactly as process_batch_range() does (the supplied
-  /// hidden rows stay valid regardless, since recovery retrains beta, never
-  /// the projection).
-  void process_batch_from_hidden(const linalg::Matrix& x,
-                                 const linalg::Matrix& hidden,
-                                 std::size_t row_begin, std::size_t row_end,
-                                 std::span<const int> true_labels,
-                                 std::vector<PipelineStep>& out);
-
-  /// Scalar process() with the hidden-space projection supplied by the
-  /// caller (same contract on `hidden` as process_batch_from_hidden, for
-  /// one row). The coalesced drain's single-row scatter path: a 1-row
-  /// member pays the lean per-sample step — exactly what the per-stream
-  /// drain's burst==1 fast path pays, minus the projection matvec — instead
-  /// of the batch machinery. Bit-identical to process(x, true_label) at
-  /// f64; falls back to the sequential recovery path exactly as process()
-  /// does (`hidden` is unused there — recovery retrains beta, never the
+  /// Processes a block of samples and appends one step per row to `out`
+  /// (never cleared; with enough capacity and the grow-only internal
+  /// buffers, the call touches the heap zero times). Steps are
+  /// sample-for-sample bit-identical to calling process() row by row.
+  ///
+  /// A 1-row block runs exactly process()'s per-sample step. Longer blocks
+  /// are scored through the GEMM batch kernels in chunks of up to
+  /// max_batch_rows while the model is frozen; while a recovery trains the
+  /// model the rows fall back to the sequential path (or, with
+  /// train_chunk > 1, to the chunked rank-k path). `x` is a row-block view,
+  /// so a caller batch or a PipelineManager ring-slab burst is read in
+  /// place. `true_labels` is empty or holds one label per row of `x`
+  /// (-1 = no label).
+  ///
+  /// `hidden`, when non-null, supplies the hidden-space projection:
+  /// row i holds g(x.row(i) * A + b) for this pipeline's projection (or any
+  /// projection with an equal fingerprint — see projection_fingerprint()).
+  /// This is the scatter half of the serving layer's coalesced drain: the
+  /// shard worker projects one mega-batch for a whole projection group,
+  /// then each member stream scores its row block through here without
+  /// re-running the GEMM. The projection is immutable and row-independent,
+  /// so the steps are bit-identical to projecting here at f64 and identical
+  /// in the approximate tiers, including across a mid-block drift (the
+  /// supplied rows stay valid, since recovery retrains beta, never the
   /// projection).
-  PipelineStep process_from_hidden(std::span<const double> x,
-                                   std::span<const double> hidden,
-                                   int true_label = -1);
+  void process_block(linalg::ConstMatrixView x,
+                     std::span<const int> true_labels,
+                     std::vector<PipelineStep>& out,
+                     const linalg::ConstMatrixView* hidden = nullptr);
 
   /// Identity of this pipeline's shared-projection coalescing group: the
   /// projection's alpha/bias/shape/activation fingerprint folded with the
@@ -322,18 +300,14 @@ class Pipeline {
            state_ == RecoveryState::kCollectingReference;
   }
 
-  /// Shared body of process_batch_range / process_batch_from_hidden. When
-  /// `hidden` is non-null its rows [row_begin, row_end) are used in place of
-  /// the projection GEMM.
-  void process_batch_range_impl(const linalg::Matrix& x,
-                                const linalg::Matrix* hidden,
-                                std::size_t row_begin, std::size_t row_end,
-                                std::span<const int> true_labels,
-                                std::vector<PipelineStep>& out);
+  /// The per-sample step behind process() and 1-row process_block() calls.
+  /// A non-empty `hidden` is the sample's projection (process_block's
+  /// contract), used in place of the projection matvec.
+  PipelineStep sample_step(std::span<const double> x,
+                           std::span<const double> hidden, int true_label);
 
-  model::Prediction timed_predict(std::span<const double> x);
-  model::Prediction timed_predict_from_hidden(std::span<const double> x,
-                                              std::span<const double> hidden);
+  model::Prediction timed_predict(std::span<const double> x,
+                                  std::span<const double> hidden);
   /// count_io=false lets the batch path bulk-update the samples_in/out
   /// counters once per chunk instead of twice per sample.
   PipelineStep frozen_step(std::span<const double> x,
@@ -343,16 +317,16 @@ class Pipeline {
   PipelineStep recovery_step_impl(std::span<const double> x);
 
   /// Chunked recovery training (config_.train_chunk > 1 only): consumes up
-  /// to train_chunk rows starting at row_begin through the bucketed rank-k
-  /// path — Reconstructor::train_chunk for the reconstruction training
-  /// phases, an inline chunked kRecalibrating body otherwise — and appends
-  /// their steps to `out`. Returns how many rows were consumed; 0 means the
-  /// caller must fall back to the per-sample recovery_step() (coordinate
-  /// phases, the finishing sample, or a 1-row tail). When `hidden` is
-  /// non-null its rows are used in place of the projection GEMM.
-  std::size_t recovery_chunk(const linalg::Matrix& x,
-                             const linalg::Matrix* hidden,
-                             std::size_t row_begin, std::size_t row_end,
+  /// to train_chunk rows of `x` starting at row_begin through the bucketed
+  /// rank-k path — Reconstructor::train_chunk for the reconstruction
+  /// training phases, an inline chunked kRecalibrating body otherwise — and
+  /// appends their steps to `out`. Returns how many rows were consumed; 0
+  /// means the caller must fall back to the per-sample recovery_step()
+  /// (coordinate phases, the finishing sample, or a 1-row tail). When
+  /// `hidden` is non-null its rows are used in place of the projection.
+  std::size_t recovery_chunk(linalg::ConstMatrixView x,
+                             const linalg::ConstMatrixView* hidden,
+                             std::size_t row_begin,
                              std::vector<PipelineStep>& out);
   void record_drift_event(const drift::Detection& detection);
   void start_recovery();
@@ -405,7 +379,7 @@ class Pipeline {
   linalg::Matrix refit_buffer_;
   std::size_t refit_fill_ = 0;
 
-  // process_batch() workspaces, reused across calls. Input chunks are read
+  // process_block() workspaces, reused across calls. Input chunks are read
   // in place through ConstMatrixView — no staging matrix.
   model::BatchWorkspace batch_ws_;
   std::vector<model::Prediction> chunk_preds_;

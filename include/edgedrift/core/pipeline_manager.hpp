@@ -41,7 +41,7 @@
 //
 // The worker drains whatever is queued in contiguous bursts of up to
 // drain_batch_max rows straight out of the slab through
-// Pipeline::process_batch_range() — bit-identical to process() row by row —
+// Pipeline::process_block() — bit-identical to process() row by row —
 // splitting only at the ring-wrap boundary.
 //
 // Thread-safety contract: submit()/submit_batch() may be called from any

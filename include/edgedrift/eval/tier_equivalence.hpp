@@ -54,7 +54,7 @@ struct TierEquivalenceConfig {
   /// Relative tolerance on the calibrated theta_error gate.
   double theta_rel_tol = 0.05;
   /// Rows fed per pipeline call. 1 replays the stream sample by sample
-  /// (process()); >1 replays it through process_batch_range() in blocks of
+  /// (process()); >1 replays it through process_block() in blocks of
   /// this many rows — the shape a serving-layer drain presents, and the
   /// only shape on which chunked training (PipelineConfig::train_chunk)
   /// engages. Both runs of the comparison use the same burst, so a chunked

@@ -45,8 +45,8 @@ bool oselm_p_update(Matrix& p, std::span<const double> h, double alpha,
 
 /// Reusable intermediates of woodbury_update(). Every buffer (including the
 /// core factorization's pivot array) grows on first use and is reused
-/// across calls, so repeated block updates (OS-ELM train_batch /
-/// train_batch_from_hidden) touch the heap zero times once the workspace
+/// across calls, so repeated block updates (oselm::block_step, behind
+/// OsElm::train_batch) touch the heap zero times once the workspace
 /// has reached its high-water shape — reserve() pre-grows it to a known
 /// rank so even the first update after Pipeline::fit() is allocation-free.
 struct WoodburyWorkspace {
@@ -87,7 +87,7 @@ struct WoodburyWorkspace {
 /// the block path runs the tiny LU solve). More generally, a rank-k update
 /// with U = V = H^T equals k sequential rank-1 updates with rows of H in
 /// exact arithmetic — the property OS-ELM's block recursion is built on and
-/// the reason chunked training (OsElm::train_batch_from_hidden) is
+/// the reason chunked training (oselm::block_step) is
 /// decision-equivalent, not bit-identical, to the per-sample path.
 /// tests/test_chunked_train.cpp pins the k = 1 bound over random shapes.
 bool woodbury_update(Matrix& p, const Matrix& u, const Matrix& v,

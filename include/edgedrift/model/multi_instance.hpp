@@ -124,20 +124,14 @@ class MultiInstanceModel {
   /// a frozen model: uses no shared scratch. The workspace overload is the
   /// allocation-free hot path — `ws` is caller-owned, one per thread of
   /// control; the convenience overload allocates a workspace per call.
-  Prediction predict(std::span<const double> x,
-                     linalg::KernelWorkspace& ws) const;
+  /// A non-empty `h` is the caller's hidden activation g(x * A + b) of this
+  /// model's projection (or one with an equal fingerprint); the prediction
+  /// is bit-identical to projecting here, because both run the same scalar
+  /// fused scorer and the batch projection is row-independent and
+  /// bit-identical to the scalar one.
+  Prediction predict(std::span<const double> x, linalg::KernelWorkspace& ws,
+                     std::span<const double> h = {}) const;
   Prediction predict(std::span<const double> x) const;
-
-  /// predict() with the hidden activation h = g(x * A + b) supplied by the
-  /// caller (same contract on `h` as score_batch_from_hidden, for one row).
-  /// Bit-identical to predict(x, ws): both run the identical scalar fused
-  /// scorer after the projection, and the coalesced mega-batch projection
-  /// is row-independent and bit-identical to the scalar one. This is the
-  /// serving layer's single-row scatter path — at 1-row bursts the batch
-  /// entry's per-call machinery costs more than the projection it skips.
-  Prediction predict_from_hidden(std::span<const double> x,
-                                 std::span<const double> h,
-                                 linalg::KernelWorkspace& ws) const;
 
   /// Scores every instance on every row of X with one fused
   /// [rows x (num_labels * input_dim)] GEMM against the packed beta, then a
@@ -145,32 +139,23 @@ class MultiInstanceModel {
   /// to score_of(x.row(r), l). X is a row-block view (Matrix converts
   /// implicitly), so a contiguous row range — a drain burst in a ring slab,
   /// a calibration chunk — scores in place with zero copies.
-  void score_batch(linalg::ConstMatrixView x, BatchWorkspace& ws) const;
-
-  /// score_batch with the hidden activations H = g(X * A + b) supplied by
-  /// the caller instead of projected here. `h` must be [x.rows() x
-  /// hidden_dim] rows computed by this model's projection (or any
-  /// projection with an equal fingerprint) on exactly the rows of `x` — the
-  /// serving layer's coalesced drain projects one mega-batch for a whole
-  /// projection group and scatters row blocks of it into each stream's
-  /// scoring through this entry. Because hidden_batch_into is row-
-  /// independent and bit-identical across batch shapes, the result is
-  /// bit-identical to score_batch(x, ws) at f64 and identical to it in the
-  /// approximate tiers (same narrowed / quantized operands).
-  void score_batch_from_hidden(linalg::ConstMatrixView x,
-                               linalg::ConstMatrixView h,
-                               BatchWorkspace& ws) const;
+  ///
+  /// A non-null `h` supplies the hidden activations H = g(X * A + b) instead
+  /// of projecting here: [x.rows() x hidden_dim] rows of this model's
+  /// projection (or any projection with an equal fingerprint) on exactly
+  /// the rows of `x`. The serving layer's coalesced drain projects one
+  /// mega-batch for a whole projection group and scatters row blocks of it
+  /// into each stream's scoring this way. The result is bit-identical to
+  /// projecting here at f64 and identical in the approximate tiers (same
+  /// narrowed / quantized operands).
+  void score_batch(linalg::ConstMatrixView x, BatchWorkspace& ws,
+                   const linalg::ConstMatrixView* h = nullptr) const;
 
   /// Batch prediction: out[r] is identical to predict(x.row(r)). `out`
-  /// must have length x.rows().
+  /// must have length x.rows(); `h` as for score_batch.
   void predict_batch(linalg::ConstMatrixView x, BatchWorkspace& ws,
-                     std::span<Prediction> out) const;
-
-  /// predict_batch from caller-supplied hidden activations (see
-  /// score_batch_from_hidden for the contract on `h`).
-  void predict_batch_from_hidden(linalg::ConstMatrixView x,
-                                 linalg::ConstMatrixView h, BatchWorkspace& ws,
-                                 std::span<Prediction> out) const;
+                     std::span<Prediction> out,
+                     const linalg::ConstMatrixView* h = nullptr) const;
 
   /// Anomaly score of one specific instance (f64, whatever the tier).
   double score_of(std::span<const double> x, std::size_t label,
@@ -194,7 +179,7 @@ class MultiInstanceModel {
   /// refreshes that block's f32/i8 replica once per bucket instead of once
   /// per sample — the requant amortization at the heart of the chunked
   /// path. `h` must be this model's hidden activations of exactly the rows
-  /// of `x` (same contract as score_batch_from_hidden); `labels` has one
+  /// of `x` (the score_batch contract on `h`); `labels` has one
   /// winner per row. Within a bucket, rows keep their stream order.
   /// Equivalent to the per-sample winner loop in exact arithmetic when
   /// every row's winner is computed against the same frozen pre-chunk
@@ -279,12 +264,6 @@ class MultiInstanceModel {
   void scores_from_hidden(std::span<const double> h,
                           std::span<const double> x, std::span<double> out,
                           linalg::KernelWorkspace& ws) const;
-
-  /// Shared tail of score_batch / score_batch_from_hidden: everything after
-  /// the projection (tier dispatch, fused reconstruction, MSE reduction).
-  /// `h` holds the hidden activations of exactly the rows of `x`.
-  void score_batch_core(linalg::ConstMatrixView x, linalg::ConstMatrixView h,
-                        BatchWorkspace& ws) const;
 
   /// Instance c's beta, writable.
   linalg::ColumnBlock block(std::size_t c);

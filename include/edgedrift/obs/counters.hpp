@@ -42,6 +42,9 @@ struct CounterSnapshot {
   std::uint64_t samples_in = 0;      ///< Samples entering the pipeline.
   std::uint64_t samples_out = 0;     ///< Samples fully processed.
   std::uint64_t rejected = 0;        ///< Dropped by kReject backpressure.
+  /// Submits refused for a NaN/Inf feature (filled by the serving layer
+  /// from its admission telemetry; a pipeline's own block never sees them).
+  std::uint64_t non_finite = 0;
   std::uint64_t windows_opened = 0;  ///< Detector evaluation windows opened.
   std::uint64_t drifts = 0;          ///< Drift detections fired.
   std::uint64_t retrains = 0;        ///< Recoveries completed.
@@ -54,6 +57,7 @@ struct CounterSnapshot {
     samples_in += o.samples_in;
     samples_out += o.samples_out;
     rejected += o.rejected;
+    non_finite += o.non_finite;
     windows_opened += o.windows_opened;
     drifts += o.drifts;
     retrains += o.retrains;

@@ -108,22 +108,9 @@ class OsElm {
   /// Sequential training on one (x, t) pair — the batch-size-1 fast path.
   void train(std::span<const double> x, std::span<const double> t);
 
-  /// Sequential training with a precomputed hidden activation. `h` must be
-  /// this network's projection of the trained sample (bit-equal to what
-  /// hidden() would produce).
-  void train_from_hidden(std::span<const double> h,
-                         std::span<const double> t);
-
   /// Sequential training on a batch via the Woodbury identity. Equivalent to
   /// calling train() row by row when forgetting_factor == 1.
   void train_batch(const linalg::Matrix& x, const linalg::Matrix& t);
-
-  /// Rank-k block training (block_step) with precomputed hidden
-  /// activations: `h` is [k x hidden_dim] rows of this network's
-  /// projection of the trained samples, `t` the matching [k x output_dim]
-  /// targets.
-  void train_batch_from_hidden(const linalg::Matrix& h,
-                               const linalg::Matrix& t);
 
   /// y = prediction for x. `y` must have length output_dim(). The hidden
   /// activation lives on the stack (heap only for unusually wide hidden

@@ -17,16 +17,24 @@ namespace edgedrift::util {
 class StageTimer {
  public:
   /// RAII scope that adds its lifetime to one stage of the parent timer.
+  /// A null timer makes the scope free: no clock read, no stage lookup.
   class Scope {
    public:
-    Scope(StageTimer& timer, std::string_view stage);
-    ~Scope();
+    Scope(StageTimer* timer, std::string_view stage) : timer_(timer) {
+      if (timer_ != nullptr) start(stage);
+    }
+    ~Scope() {
+      if (timer_ != nullptr) stop();
+    }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
    private:
-    StageTimer& timer_;
-    std::size_t index_;
+    void start(std::string_view stage);
+    void stop();
+
+    StageTimer* timer_;
+    std::size_t index_ = 0;
     std::chrono::steady_clock::time_point start_;
   };
 

@@ -9,7 +9,7 @@
 // ready stream in the same projection group into a staging slab, projects
 // the whole mega-batch once, and scatters the hidden rows back into each
 // stream's own packed-beta scoring and drift detection
-// (Pipeline::process_batch_from_hidden).
+// (Pipeline::process_block with the hidden block supplied).
 //
 // Grouping is keyed on Pipeline::projection_fingerprint() — the alpha/bias/
 // shape/activation digest folded with the numerics tier — so two streams
@@ -133,9 +133,9 @@ void PipelineManager::coalesce_group(Shard& shard) {
 
   // Gather: each member's ring burst is at most two contiguous segments of
   // its slab, copied into its reserved staging block. Labels ride along in
-  // a parallel array so the scatter can hand each stream a span indexed by
-  // staging row, exactly like the per-stream drain hands s.labels indexed
-  // by ring slot.
+  // a parallel array so the scatter can hand each stream the label span of
+  // its staging rows, exactly like the per-stream drain hands the label
+  // span of its ring slots.
   shard.stage_x.resize_discard(total, template_config_.input_dim);
   if (shard.stage_labels.size() < total) shard.stage_labels.resize(total);
   for (const auto& m : plan) {
@@ -171,19 +171,12 @@ void PipelineManager::coalesce_group(Shard& shard) {
     Stream& s = *m.stream;
     {
       std::lock_guard lock(s.steps_mutex);
-      if (m.take == 1) {
-        // Single-row member: the lean scalar step, mirroring drain_burst's
-        // burst==1 fast path. At 1-row bursts the batch entry's per-call
-        // machinery costs more than the projection it skips; the scalar
-        // from-hidden step keeps only the saving.
-        s.steps.push_back(s.pipeline->process_from_hidden(
-            shard.stage_x.row(m.offset), shard.stage_hidden.row(m.offset),
-            shard.stage_labels[m.offset]));
-      } else {
-        s.pipeline->process_batch_from_hidden(
-            shard.stage_x, shard.stage_hidden, m.offset, m.offset + m.take,
-            shard.stage_labels, s.steps);
-      }
+      const linalg::ConstMatrixView hidden{shard.stage_hidden, m.offset,
+                                           m.offset + m.take};
+      s.pipeline->process_block(
+          {shard.stage_x, m.offset, m.offset + m.take},
+          std::span<const int>(shard.stage_labels).subspan(m.offset, m.take),
+          s.steps, &hidden);
     }
     if (obs_on_) {
       obs::StreamObs& ob = s.pipeline->obs();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "edgedrift/cluster/matching.hpp"
@@ -87,7 +88,7 @@ void Pipeline::fit(const linalg::Matrix& x, std::span<const int> labels) {
 
   // Pre-grow the streaming scratch to the steady-state geometry up front:
   // the calibration pass below reuses the batch workspace, and even the
-  // first process()/process_batch() call after fit() touches the heap zero
+  // first process()/process_block() call after fit() touches the heap zero
   // times (the buffers are grow-only; pinned by tests/test_allocation_free).
   batch_ws_.reserve(config_.max_batch_rows, config_.input_dim,
                     config_.hidden_dim, config_.num_labels, config_.numerics);
@@ -168,60 +169,40 @@ void Pipeline::fit(const linalg::Matrix& x, std::span<const int> labels) {
 
 PipelineStep Pipeline::process(std::span<const double> x, int true_label) {
   EDGEDRIFT_ASSERT(fitted_, "process() before fit()");
-  if (!model_frozen()) return recovery_step(x);
-  return frozen_step(x, timed_predict(x), true_label);
+  return sample_step(x, {}, true_label);
 }
 
-PipelineStep Pipeline::process_from_hidden(std::span<const double> x,
-                                           std::span<const double> hidden,
-                                           int true_label) {
-  EDGEDRIFT_ASSERT(fitted_, "process_from_hidden() before fit()");
+PipelineStep Pipeline::sample_step(std::span<const double> x,
+                                   std::span<const double> hidden,
+                                   int true_label) {
   if (!model_frozen()) return recovery_step(x);
-  return frozen_step(x, timed_predict_from_hidden(x, hidden), true_label);
+  return frozen_step(x, timed_predict(x, hidden), true_label);
 }
 
-std::vector<PipelineStep> Pipeline::process_batch(
-    const linalg::Matrix& x, std::span<const int> true_labels) {
+void Pipeline::process_block(linalg::ConstMatrixView x,
+                             std::span<const int> true_labels,
+                             std::vector<PipelineStep>& out,
+                             const linalg::ConstMatrixView* hidden) {
+  EDGEDRIFT_ASSERT(fitted_, "process_block() before fit()");
   EDGEDRIFT_ASSERT(true_labels.empty() || true_labels.size() == x.rows(),
                    "true_labels must be empty or one per row");
-  std::vector<PipelineStep> steps;
-  process_batch_range(x, 0, x.rows(), true_labels, steps);
-  return steps;
-}
-
-void Pipeline::process_batch_range(const linalg::Matrix& x,
-                                   std::size_t row_begin, std::size_t row_end,
-                                   std::span<const int> true_labels,
-                                   std::vector<PipelineStep>& out) {
-  process_batch_range_impl(x, nullptr, row_begin, row_end, true_labels, out);
-}
-
-void Pipeline::process_batch_from_hidden(const linalg::Matrix& x,
-                                         const linalg::Matrix& hidden,
-                                         std::size_t row_begin,
-                                         std::size_t row_end,
-                                         std::span<const int> true_labels,
-                                         std::vector<PipelineStep>& out) {
-  EDGEDRIFT_ASSERT(
-      hidden.rows() == x.rows() && hidden.cols() == config_.hidden_dim,
-      "hidden block must be row-parallel to x");
-  process_batch_range_impl(x, &hidden, row_begin, row_end, true_labels, out);
-}
-
-void Pipeline::process_batch_range_impl(const linalg::Matrix& x,
-                                        const linalg::Matrix* hidden,
-                                        std::size_t row_begin,
-                                        std::size_t row_end,
-                                        std::span<const int> true_labels,
-                                        std::vector<PipelineStep>& out) {
-  EDGEDRIFT_ASSERT(fitted_, "process_batch() before fit()");
-  EDGEDRIFT_ASSERT(row_begin <= row_end && row_end <= x.rows(),
-                   "row range out of bounds");
-  EDGEDRIFT_ASSERT(true_labels.empty() || true_labels.size() >= row_end,
-                   "true_labels must be empty or cover the row range");
-  out.reserve(out.size() + (row_end - row_begin));
-  std::size_t i = row_begin;
-  while (i < row_end) {
+  EDGEDRIFT_ASSERT(hidden == nullptr ||
+                       (hidden->rows() == x.rows() &&
+                        hidden->cols() == config_.hidden_dim),
+                   "hidden block must be row-parallel to x");
+  if (x.rows() == 1) {
+    // A single sample pays the lean per-sample step, not the batch
+    // machinery: at one row the chunk bookkeeping costs more than the GEMM
+    // it would share.
+    const std::span<const double> h0 =
+        hidden != nullptr ? hidden->row(0) : std::span<const double>{};
+    out.push_back(sample_step(x.row(0), h0,
+                              true_labels.empty() ? -1 : true_labels[0]));
+    return;
+  }
+  out.reserve(out.size() + x.rows());
+  std::size_t i = 0;
+  while (i < x.rows()) {
     if (!model_frozen()) {
       // A recovery is training the model. With chunked training enabled,
       // try to absorb a whole chunk of recovery samples through the
@@ -230,17 +211,15 @@ void Pipeline::process_batch_range_impl(const linalg::Matrix& x,
       // samples, 1-row tails) and the train_chunk == 1 default, keeping the
       // exact sequential recovery bit-identical.
       if (config_.train_chunk > 1) {
-        const std::size_t consumed =
-            recovery_chunk(x, hidden, i, row_end, out);
+        const std::size_t consumed = recovery_chunk(x, hidden, i, out);
         if (consumed > 0) {
           i += consumed;
           continue;
         }
       }
       // Sequential path: predictions depend on every intervening update.
-      // When a coalesced drain hands us pre-projected hidden rows, those
-      // rows stay valid but unused here — recovery retrains beta, not the
-      // projection.
+      // Supplied hidden rows stay valid but unused here — recovery retrains
+      // beta, not the projection.
       out.push_back(recovery_step(x.row(i)));
       ++i;
       continue;
@@ -251,27 +230,21 @@ void Pipeline::process_batch_range_impl(const linalg::Matrix& x,
     // chunk rows are contiguous in x (row-major), so they feed the kernels
     // as a view — no staging copy, whether x is a caller batch or a
     // PipelineManager ring slab.
-    const std::size_t chunk = std::min(row_end - i, config_.max_batch_rows);
+    const std::size_t chunk = std::min(x.rows() - i, config_.max_batch_rows);
     const linalg::ConstMatrixView chunk_view{x, i, i + chunk};
+    const linalg::ConstMatrixView chunk_hidden =
+        hidden != nullptr ? linalg::ConstMatrixView{*hidden, i, i + chunk}
+                          : chunk_view;
     chunk_preds_.resize(chunk);
     // Score-stage latency for the batch path: one clock pair per chunk,
     // recorded as the chunk's mean per-sample cost (the per-sample path
     // records individual samples instead — see timed_predict).
     const bool obs_on = obs_enabled_;
     const std::uint64_t obs_t0 = obs_on ? obs::now_ns() : 0;
-    if (stages_ != nullptr) {
-      util::StageTimer::Scope scope(*stages_, kStagePredict);
-      if (hidden != nullptr) {
-        model_->predict_batch_from_hidden(chunk_view, {*hidden, i, i + chunk},
-                                          batch_ws_, chunk_preds_);
-      } else {
-        model_->predict_batch(chunk_view, batch_ws_, chunk_preds_);
-      }
-    } else if (hidden != nullptr) {
-      model_->predict_batch_from_hidden(chunk_view, {*hidden, i, i + chunk},
-                                        batch_ws_, chunk_preds_);
-    } else {
-      model_->predict_batch(chunk_view, batch_ws_, chunk_preds_);
+    {
+      util::StageTimer::Scope scope(stages_, kStagePredict);
+      model_->predict_batch(chunk_view, batch_ws_, chunk_preds_,
+                            hidden != nullptr ? &chunk_hidden : nullptr);
     }
     if (obs_on) obs_->score.record((obs::now_ns() - obs_t0) / chunk);
     ++stats_.batch_chunks;
@@ -297,35 +270,17 @@ void Pipeline::process_batch_range_impl(const linalg::Matrix& x,
   }
 }
 
-model::Prediction Pipeline::timed_predict(std::span<const double> x) {
+model::Prediction Pipeline::timed_predict(std::span<const double> x,
+                                          std::span<const double> hidden) {
   // Score-stage latency, clock-timed on every Nth sample (the tick is
   // advanced by frozen_step/recovery_step after this sample completes, so
   // score and detect time the same samples).
   const bool timed = obs_enabled_ && (obs_tick_ & obs_mask_) == 0;
   const std::uint64_t obs_t0 = timed ? obs::now_ns() : 0;
   model::Prediction pred;
-  if (stages_ != nullptr) {
-    util::StageTimer::Scope scope(*stages_, kStagePredict);
-    pred = model_->predict(x, kernel_ws_);
-  } else {
-    pred = model_->predict(x, kernel_ws_);
-  }
-  if (timed) obs_->score.record(obs::now_ns() - obs_t0);
-  return pred;
-}
-
-model::Prediction Pipeline::timed_predict_from_hidden(
-    std::span<const double> x, std::span<const double> hidden) {
-  // Same sampling discipline as timed_predict — the coalesced single-row
-  // scatter times the identical Nth samples the per-stream drain would.
-  const bool timed = obs_enabled_ && (obs_tick_ & obs_mask_) == 0;
-  const std::uint64_t obs_t0 = timed ? obs::now_ns() : 0;
-  model::Prediction pred;
-  if (stages_ != nullptr) {
-    util::StageTimer::Scope scope(*stages_, kStagePredict);
-    pred = model_->predict_from_hidden(x, hidden, kernel_ws_);
-  } else {
-    pred = model_->predict_from_hidden(x, hidden, kernel_ws_);
+  {
+    util::StageTimer::Scope scope(stages_, kStagePredict);
+    pred = model_->predict(x, kernel_ws_, hidden);
   }
   if (timed) obs_->score.record(obs::now_ns() - obs_t0);
   return pred;
@@ -366,10 +321,8 @@ PipelineStep Pipeline::frozen_step(std::span<const double> x,
   const bool timed_detect = obs_on && (obs_tick_ & obs_mask_) == 0;
   const std::uint64_t obs_t0 = timed_detect ? obs::now_ns() : 0;
   drift::Detection detection;
-  if (stages_ != nullptr) {
-    util::StageTimer::Scope scope(*stages_, kStageDistance);
-    detection = detector_->observe(obs);
-  } else {
+  {
+    util::StageTimer::Scope scope(stages_, kStageDistance);
     detection = detector_->observe(obs);
   }
   if (timed_detect) obs_->detect.record(obs::now_ns() - obs_t0);
@@ -447,7 +400,7 @@ PipelineStep Pipeline::recovery_step_impl(std::span<const double> x) {
 
   if (state_ == RecoveryState::kReconstructing) {
     const drift::ReconstructionPhase phase = reconstructor_.phase();
-    const char* stage = nullptr;
+    std::string_view stage;  // Untimed while idle.
     switch (phase) {
       case drift::ReconstructionPhase::kSearchCoords:
         stage = kStageInitCoord;
@@ -465,10 +418,8 @@ PipelineStep Pipeline::recovery_step_impl(std::span<const double> x) {
         break;
     }
     bool still_running = true;
-    if (stages_ != nullptr && stage != nullptr) {
-      util::StageTimer::Scope scope(*stages_, stage);
-      still_running = reconstructor_.step(x, *model_);
-    } else {
+    {
+      util::StageTimer::Scope scope(stage.empty() ? nullptr : stages_, stage);
       still_running = reconstructor_.step(x, *model_);
     }
     // Even while reconstructing, report the model's current prediction so
@@ -500,17 +451,13 @@ PipelineStep Pipeline::recovery_step_impl(std::span<const double> x) {
         nearest = c;
       }
     }
-    if (stages_ != nullptr) {
-      util::StageTimer::Scope scope(*stages_, kStageRetrainNearest);
-      model_->train_label(x, nearest);
-    } else {
+    {
+      util::StageTimer::Scope scope(stages_, kStageRetrainNearest);
       model_->train_label(x, nearest);
     }
     step.prediction = model_->predict(x, kernel_ws_);
-  } else if (stages_ != nullptr) {
-    util::StageTimer::Scope scope(*stages_, kStageRetrainPredict);
-    step.prediction = model_->train_closest(x, kernel_ws_);
   } else {
+    util::StageTimer::Scope scope(stages_, kStageRetrainPredict);
     step.prediction = model_->train_closest(x, kernel_ws_);
   }
   if (tracker_enabled_) update_tracker(step.prediction.label, x);
@@ -525,13 +472,12 @@ PipelineStep Pipeline::recovery_step_impl(std::span<const double> x) {
   return step;
 }
 
-std::size_t Pipeline::recovery_chunk(const linalg::Matrix& x,
-                                     const linalg::Matrix* hidden,
+std::size_t Pipeline::recovery_chunk(linalg::ConstMatrixView x,
+                                     const linalg::ConstMatrixView* hidden,
                                      std::size_t row_begin,
-                                     std::size_t row_end,
                                      std::vector<PipelineStep>& out) {
   const std::size_t limit = std::min(
-      {config_.train_chunk, config_.max_batch_rows, row_end - row_begin});
+      {config_.train_chunk, config_.max_batch_rows, x.rows() - row_begin});
   if (limit < 2) return 0;
   const auto& rc = config_.reconstruction;
 
@@ -587,11 +533,8 @@ std::size_t Pipeline::recovery_chunk(const linalg::Matrix& x,
     const char* stage = reconstructor_.count() + 1 < rc.n_total / 2
                             ? kStageRetrainNearest
                             : kStageRetrainPredict;
-    if (stages_ != nullptr) {
-      util::StageTimer::Scope scope(*stages_, stage);
-      consumed = reconstructor_.train_chunk(xc, hc, *model_, batch_ws_, preds,
-                                            labels, &tstats);
-    } else {
+    {
+      util::StageTimer::Scope scope(stages_, stage);
       consumed = reconstructor_.train_chunk(xc, hc, *model_, batch_ws_, preds,
                                             labels, &tstats);
     }
@@ -601,7 +544,7 @@ std::size_t Pipeline::recovery_chunk(const linalg::Matrix& x,
     // predict-after-step — per-row scatter scoring (bit-identical to the
     // batch entry, cheaper at single-digit chunk sizes).
     for (std::size_t r = 0; r < consumed; ++r) {
-      preds[r] = model_->predict_from_hidden(xc.row(r), hc.row(r), kernel_ws_);
+      preds[r] = model_->predict(xc.row(r), kernel_ws_, hc.row(r));
     }
     for (std::size_t r = 0; r < consumed; ++r) {
       PipelineStep step;
@@ -631,28 +574,20 @@ std::size_t Pipeline::recovery_chunk(const linalg::Matrix& x,
         }
         labels[r] = nearest;
       }
-      if (stages_ != nullptr) {
-        util::StageTimer::Scope scope(*stages_, kStageRetrainNearest);
-        tstats = model_->train_buckets_from_hidden(xc, hc, labels, batch_ws_);
-      } else {
+      {
+        util::StageTimer::Scope scope(stages_, kStageRetrainNearest);
         tstats = model_->train_buckets_from_hidden(xc, hc, labels, batch_ws_);
       }
       for (std::size_t r = 0; r < take; ++r) {
-        preds[r] =
-            model_->predict_from_hidden(xc.row(r), hc.row(r), kernel_ws_);
+        preds[r] = model_->predict(xc.row(r), kernel_ws_, hc.row(r));
       }
     } else {
       for (std::size_t r = 0; r < take; ++r) {
-        preds[r] =
-            model_->predict_from_hidden(xc.row(r), hc.row(r), kernel_ws_);
+        preds[r] = model_->predict(xc.row(r), kernel_ws_, hc.row(r));
       }
       for (std::size_t r = 0; r < take; ++r) labels[r] = preds[r].label;
-      if (stages_ != nullptr) {
-        util::StageTimer::Scope scope(*stages_, kStageRetrainPredict);
-        tstats = model_->train_buckets_from_hidden(xc, hc, labels, batch_ws_);
-      } else {
-        tstats = model_->train_buckets_from_hidden(xc, hc, labels, batch_ws_);
-      }
+      util::StageTimer::Scope scope(stages_, kStageRetrainPredict);
+      tstats = model_->train_buckets_from_hidden(xc, hc, labels, batch_ws_);
     }
     consumed = take;
     for (std::size_t r = 0; r < take; ++r) {

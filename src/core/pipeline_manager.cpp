@@ -329,12 +329,9 @@ std::size_t PipelineManager::drain_burst(Stream& s) {
     const std::uint64_t t0 = now_ns();
     {
       std::lock_guard lock(s.steps_mutex);
-      if (burst > 1) {
-        s.pipeline->process_batch_range(s.slab, pos, pos + burst, s.labels,
-                                        s.steps);
-      } else {
-        s.steps.push_back(s.pipeline->process(s.slab.row(pos), s.labels[pos]));
-      }
+      s.pipeline->process_block(
+          {s.slab, pos, pos + burst},
+          std::span<const int>(s.labels).subspan(pos, burst), s.steps);
     }
     // Record before the head advance frees the slots: a producer may reuse
     // submit_ns[pos..] the moment head moves past them. Only the sampled
@@ -497,6 +494,10 @@ obs::Snapshot PipelineManager::stats() const {
     if (s.residency == Stream::Residency::kHot) {
       ss += s.pipeline->obs().snapshot(i);
     }
+    // Admission refusals never reach the pipeline: the stream's telemetry,
+    // which survives eviction, is their only count.
+    ss.counters.non_finite =
+        s.telemetry.non_finite.load(std::memory_order_relaxed);
     snap.streams.push_back(std::move(ss));
   }
   snap.shards.reserve(shards_.size());

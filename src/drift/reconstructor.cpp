@@ -120,7 +120,7 @@ std::size_t Reconstructor::train_chunk(linalg::ConstMatrixView x,
   const std::size_t cap = (nearest_phase ? half : config_.n_total) - c0;
   const std::size_t take = std::min(x.rows(), cap);
   if (take < 2) return 0;  // A 1-row "chunk" is just a worse rank-1 step.
-  const linalg::ConstMatrixView xc(x, take), hc(h, take);
+  const linalg::ConstMatrixView xc{x, 0, take}, hc{h, 0, take};
   if (nearest_phase) {
     // Coordinates are frozen in the training phases, so per-row nearest()
     // matches the sequential loop exactly.
@@ -131,7 +131,7 @@ std::size_t Reconstructor::train_chunk(linalg::ConstMatrixView x,
     // Self-labeling: the whole chunk predicts against the pre-chunk model
     // (sequentially, row r would see the model trained through row r-1 —
     // the chunked-training approximation).
-    model.predict_batch_from_hidden(xc, hc, ws, preds.subspan(0, take));
+    model.predict_batch(xc, ws, preds.subspan(0, take), &hc);
     for (std::size_t r = 0; r < take; ++r) labels[r] = preds[r].label;
   }
   const model::ChunkTrainStats done = model.train_buckets_from_hidden(

@@ -17,7 +17,7 @@
 // Bit-identity contract (docs/ARCHITECTURE.md): on every backend each C
 // element is a single ascending-k madd chain seeded at zero. That makes
 // both kernels round exactly like matvec_transposed()'s per-element chain,
-// which is what keeps Pipeline::process_batch() bit-identical to
+// which is what keeps Pipeline::process_block() bit-identical to
 // process() within a build. Scalar row/column tails use simd::madd(), the
 // scalar op with the same rounding as the vector lanes.
 #include "edgedrift/linalg/gemm.hpp"

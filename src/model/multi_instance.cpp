@@ -227,21 +227,16 @@ Prediction argmin_score(std::span<const double> s) {
 }  // namespace
 
 Prediction MultiInstanceModel::predict(std::span<const double> x,
-                                       linalg::KernelWorkspace& ws) const {
+                                       linalg::KernelWorkspace& ws,
+                                       std::span<const double> h) const {
   const std::span<double> s = ws.scores(num_labels());
-  scores(x, s, ws);
-  return argmin_score(s);
-}
-
-Prediction MultiInstanceModel::predict_from_hidden(
-    std::span<const double> x, std::span<const double> h,
-    linalg::KernelWorkspace& ws) const {
-  EDGEDRIFT_DASSERT(h.size() == hidden_dim(),
-                    "predict_from_hidden hidden size mismatch");
-  EDGEDRIFT_ASSERT(initialized_,
-                   "predict_from_hidden() before initialization");
-  const std::span<double> s = ws.scores(num_labels());
-  scores_from_hidden(h, x, s, ws);
+  if (h.empty()) {
+    scores(x, s, ws);
+  } else {
+    EDGEDRIFT_DASSERT(h.size() == hidden_dim(), "hidden size mismatch");
+    EDGEDRIFT_ASSERT(initialized_, "predict() before initialization");
+    scores_from_hidden(h, x, s, ws);
+  }
   return argmin_score(s);
 }
 
@@ -251,26 +246,17 @@ Prediction MultiInstanceModel::predict(std::span<const double> x) const {
 }
 
 void MultiInstanceModel::score_batch(linalg::ConstMatrixView x,
-                                     BatchWorkspace& ws) const {
+                                     BatchWorkspace& ws,
+                                     const linalg::ConstMatrixView* h) const {
   EDGEDRIFT_ASSERT(x.cols() == input_dim(), "batch feature dim mismatch");
   EDGEDRIFT_ASSERT(initialized_, "score_batch() before initialization");
-  projection_->hidden_batch_into(x, ws.hidden);
-  score_batch_core(x, ws.hidden, ws);
-}
-
-void MultiInstanceModel::score_batch_from_hidden(linalg::ConstMatrixView x,
-                                                 linalg::ConstMatrixView h,
-                                                 BatchWorkspace& ws) const {
-  EDGEDRIFT_ASSERT(x.cols() == input_dim(), "batch feature dim mismatch");
-  EDGEDRIFT_ASSERT(h.rows() == x.rows() && h.cols() == hidden_dim(),
-                   "hidden block shape mismatch");
-  EDGEDRIFT_ASSERT(initialized_, "score_batch() before initialization");
-  score_batch_core(x, h, ws);
-}
-
-void MultiInstanceModel::score_batch_core(linalg::ConstMatrixView x,
-                                          linalg::ConstMatrixView h,
-                                          BatchWorkspace& ws) const {
+  if (h == nullptr) {
+    projection_->hidden_batch_into(x, ws.hidden);
+  } else {
+    EDGEDRIFT_ASSERT(h->rows() == x.rows() && h->cols() == hidden_dim(),
+                     "hidden block shape mismatch");
+  }
+  const linalg::ConstMatrixView hv = h != nullptr ? *h : ws.hidden;
   EDGEDRIFT_DASSERT(replicas_in_sync(), "tier replica missed a beta update");
   ws.scores.resize_discard(x.rows(), num_labels());  // Fully written below.
   const std::size_t n = x.cols();
@@ -280,7 +266,7 @@ void MultiInstanceModel::score_batch_core(linalg::ConstMatrixView x,
     // R = H * packed_beta, one fused [rows x C*n] GEMM: row r, columns
     // [c*n, (c+1)*n) are bit-identical to instance c's scalar reconstruction
     // of row r (same ascending-k accumulation order in both kernels).
-    linalg::matmul_parallel_into(h, packed_beta_, ws.recon);
+    linalg::matmul_parallel_into(hv, packed_beta_, ws.recon);
     for (std::size_t r = 0; r < x.rows(); ++r) {
       const std::span<const double> xr{x.data() + r * n, n};
       const double* recon_row = ws.recon.data() + r * packed_n;
@@ -301,7 +287,7 @@ void MultiInstanceModel::score_batch_core(linalg::ConstMatrixView x,
   // is exactly the packed-beta product plus the reduction.
   ws.hidden_f32.resize_discard(x.rows(), hidden_dim());
   ws.input_f32.resize_discard(x.rows(), n);
-  linalg::narrow({h.data(), h.rows() * h.cols()}, ws.hidden_f32.flat());
+  linalg::narrow({hv.data(), hv.rows() * hv.cols()}, ws.hidden_f32.flat());
   for (std::size_t r = 0; r < x.rows(); ++r) {
     linalg::narrow(x.row(r), ws.input_f32.row(r));
   }
@@ -328,19 +314,10 @@ void MultiInstanceModel::score_batch_core(linalg::ConstMatrixView x,
 
 void MultiInstanceModel::predict_batch(linalg::ConstMatrixView x,
                                        BatchWorkspace& ws,
-                                       std::span<Prediction> out) const {
+                                       std::span<Prediction> out,
+                                       const linalg::ConstMatrixView* h) const {
   EDGEDRIFT_ASSERT(out.size() == x.rows(), "prediction buffer size mismatch");
-  score_batch(x, ws);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    out[r] = argmin_score(ws.scores.row(r));
-  }
-}
-
-void MultiInstanceModel::predict_batch_from_hidden(
-    linalg::ConstMatrixView x, linalg::ConstMatrixView h, BatchWorkspace& ws,
-    std::span<Prediction> out) const {
-  EDGEDRIFT_ASSERT(out.size() == x.rows(), "prediction buffer size mismatch");
-  score_batch_from_hidden(x, h, ws);
+  score_batch(x, ws, h);
   for (std::size_t r = 0; r < x.rows(); ++r) {
     out[r] = argmin_score(ws.scores.row(r));
   }

@@ -72,25 +72,27 @@ CounterSnapshot Snapshot::totals() const {
 std::string Snapshot::to_text() const {
   std::string out;
 
-  util::Table counters({"Stream", "in", "out", "rejected", "windows",
-                        "drifts", "retrains", "chunk-upd", "chunk-rows",
-                        "requant-saved", "ring-hw"});
+  util::Table counters({"Stream", "in", "out", "rejected", "non-finite",
+                        "windows", "drifts", "retrains", "chunk-upd",
+                        "chunk-rows", "requant-saved", "ring-hw"});
   for (const StreamSnapshot& s : streams) {
     const CounterSnapshot& c = s.counters;
     counters.add_row({std::to_string(s.stream_id), fmt_u64(c.samples_in),
                       fmt_u64(c.samples_out), fmt_u64(c.rejected),
-                      fmt_u64(c.windows_opened), fmt_u64(c.drifts),
-                      fmt_u64(c.retrains), fmt_u64(c.chunk_trains),
-                      fmt_u64(c.chunk_train_rows), fmt_u64(c.requants_saved),
+                      fmt_u64(c.non_finite), fmt_u64(c.windows_opened),
+                      fmt_u64(c.drifts), fmt_u64(c.retrains),
+                      fmt_u64(c.chunk_trains), fmt_u64(c.chunk_train_rows),
+                      fmt_u64(c.requants_saved),
                       fmt_u64(c.ring_high_water)});
   }
   if (streams.size() > 1) {
     const CounterSnapshot c = totals();
     counters.add_row({"total", fmt_u64(c.samples_in),
                       fmt_u64(c.samples_out), fmt_u64(c.rejected),
-                      fmt_u64(c.windows_opened), fmt_u64(c.drifts),
-                      fmt_u64(c.retrains), fmt_u64(c.chunk_trains),
-                      fmt_u64(c.chunk_train_rows), fmt_u64(c.requants_saved),
+                      fmt_u64(c.non_finite), fmt_u64(c.windows_opened),
+                      fmt_u64(c.drifts), fmt_u64(c.retrains),
+                      fmt_u64(c.chunk_trains), fmt_u64(c.chunk_train_rows),
+                      fmt_u64(c.requants_saved),
                       fmt_u64(c.ring_high_water)});
   }
   out += "counters:\n" + counters.str() + "\n";
@@ -183,14 +185,15 @@ std::string Snapshot::to_json(std::string_view source) const {
                   "    {\"id\": %zu,\n"
                   "      \"counters\": {\"samples_in\": %" PRIu64
                   ", \"samples_out\": %" PRIu64 ", \"rejected\": %" PRIu64
+                  ", \"non_finite\": %" PRIu64
                   ", \"windows_opened\": %" PRIu64 ", \"drifts\": %" PRIu64
                   ", \"retrains\": %" PRIu64 ", \"chunk_trains\": %" PRIu64
                   ", \"chunk_train_rows\": %" PRIu64
                   ", \"requants_saved\": %" PRIu64
                   ", \"ring_high_water\": %" PRIu64 "},\n",
                   s.stream_id, c.samples_in, c.samples_out, c.rejected,
-                  c.windows_opened, c.drifts, c.retrains, c.chunk_trains,
-                  c.chunk_train_rows, c.requants_saved,
+                  c.non_finite, c.windows_opened, c.drifts, c.retrains,
+                  c.chunk_trains, c.chunk_train_rows, c.requants_saved,
                   c.ring_high_water);
     out += buf;
     out += "      \"latency\": {\n";

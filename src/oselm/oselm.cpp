@@ -160,28 +160,13 @@ void OsElm::train(std::span<const double> x, std::span<const double> t) {
   ++samples_seen_;
 }
 
-void OsElm::train_from_hidden(std::span<const double> h,
-                              std::span<const double> t) {
-  EDGEDRIFT_ASSERT(initialized_, "train_from_hidden() before initialization");
-  sequential_step(p_, beta_, h, t, config_, scratch_);
-  ++samples_seen_;
-}
-
 void OsElm::train_batch(const linalg::Matrix& x, const linalg::Matrix& t) {
   EDGEDRIFT_ASSERT(initialized_, "train_batch() before initialization");
   EDGEDRIFT_ASSERT(x.rows() == t.rows(), "X/T row mismatch");
   EDGEDRIFT_ASSERT(x.cols() == input_dim(), "X feature dim mismatch");
   if (x.rows() == 0) return;
-  const linalg::Matrix h = projection_->hidden_batch(x);
-  train_batch_from_hidden(h, t);
-}
-
-void OsElm::train_batch_from_hidden(const linalg::Matrix& h,
-                                    const linalg::Matrix& t) {
-  EDGEDRIFT_ASSERT(initialized_,
-                   "train_batch_from_hidden() before initialization");
-  block_step(p_, beta_, h, t, config_, scratch_);
-  samples_seen_ += h.rows();
+  block_step(p_, beta_, projection_->hidden_batch(x), t, config_, scratch_);
+  samples_seen_ += x.rows();
 }
 
 void OsElm::predict(std::span<const double> x, std::span<double> y) const {

@@ -2,14 +2,14 @@
 
 namespace edgedrift::util {
 
-StageTimer::Scope::Scope(StageTimer& timer, std::string_view stage)
-    : timer_(timer),
-      index_(timer.index_of(stage)),
-      start_(std::chrono::steady_clock::now()) {}
+void StageTimer::Scope::start(std::string_view stage) {
+  index_ = timer_->index_of(stage);
+  start_ = std::chrono::steady_clock::now();
+}
 
-StageTimer::Scope::~Scope() {
+void StageTimer::Scope::stop() {
   const auto end = std::chrono::steady_clock::now();
-  auto& entry = timer_.entries_[index_];
+  auto& entry = timer_->entries_[index_];
   entry.seconds += std::chrono::duration<double>(end - start_).count();
   entry.count += 1;
 }

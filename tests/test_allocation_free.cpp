@@ -292,7 +292,7 @@ TEST(AllocationFree, ChunkedRecoveryTrainingDoesNotAllocate) {
   std::size_t at = 0;
   const auto feed = [&] {
     out.clear();
-    pipeline.process_batch_range(post, at, at + kBurst, {}, out);
+    pipeline.process_block({post, at, at + kBurst}, {}, out);
     at += kBurst;
   };
 
@@ -331,7 +331,7 @@ TEST(AllocationFree, SteadyStateManagerSubmitDrainDoesNotAllocate) {
 #else
   // The serving path: submit_batch() copies rows into the preallocated ring
   // slab, the drain feeds contiguous slab ranges straight through
-  // process_batch_range(), and take_steps(out) recycles both step buffers.
+  // process_block(), and take_steps(out) recycles both step buffers.
   // Manual dispatch keeps the whole loop on this thread — the shard
   // workers' Treiber ready-stack nodes live inside the Stream structs, but
   // handing off to another thread would make the allocation count racy, so

@@ -1,7 +1,7 @@
 // The chunked rank-k training path (PipelineConfig::train_chunk): a batched
 // drain consumes recovery training samples in chunks, bucketing each chunk's
 // rows by winning instance, absorbing every bucket with one Woodbury block
-// update (OsElm::train_batch_from_hidden) and requantizing the bucket's
+// update (oselm::block_step) and requantizing the bucket's
 // f32/i8 replica block once instead of once per sample.
 //
 // Contracts under test:
@@ -178,8 +178,8 @@ Matrix gaussian_rows(std::size_t rows, std::size_t dim, double mean,
   return m;
 }
 
-// One rank-k train_batch_from_hidden equals k sequential train_from_hidden
-// steps: exactly in exact arithmetic, to tight fp tolerance here.
+// One rank-k train_batch equals k sequential train steps: exactly in exact
+// arithmetic, to tight fp tolerance here.
 TEST(ChunkedTrain, BlockUpdateMatchesSequentialOnBetaAndP) {
   constexpr std::size_t kDim = 10;
   constexpr std::size_t kHidden = 14;
@@ -198,12 +198,10 @@ TEST(ChunkedTrain, BlockUpdateMatchesSequentialOnBetaAndP) {
   for (const std::size_t k : {2u, 4u, 8u}) {
     SCOPED_TRACE("chunk = " + std::to_string(k));
     const Matrix chunk = gaussian_rows(k, kDim, 0.4, 0.3, rng);
-    Matrix h;
-    projection->hidden_batch_into(chunk, h);
     for (std::size_t r = 0; r < k; ++r) {
-      sequential.train_from_hidden(h.row(r), chunk.row(r));
+      sequential.train(chunk.row(r), chunk.row(r));
     }
-    blocked.train_batch_from_hidden(h, chunk);
+    blocked.train_batch(chunk, chunk);
 
     const double beta_scale = std::max(max_abs(sequential.beta()), 1.0);
     EXPECT_LE(max_abs_diff(sequential.beta(), blocked.beta()) /

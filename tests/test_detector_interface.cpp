@@ -1,10 +1,11 @@
 // Conformance tests over every drift::DetectorKind: the factory round-trip,
 // the Detector interface contract, each kind driving core::Pipeline's
 // detect-and-retrain loop via DetectorSpec alone, and the bit-identity of
-// process_batch() with sample-by-sample process().
+// process_block() with sample-by-sample process().
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -180,49 +181,31 @@ TEST_P(DetectorKindTest, DrivesPipelineAndFiresAfterDrift) {
   EXPECT_EQ(pipeline.stats().recoveries, 0u);
 }
 
-// The load-bearing contract of the batched hot path: process_batch() must be
-// sample-for-sample bit-identical to process(), including across the drift,
-// the recovery that follows it, and (for batch detectors) the reference
-// refill. Runs every detector kind so frozen-chunk boundaries are exercised
-// against every recovery entry point.
-TEST_P(DetectorKindTest, ProcessBatchBitIdenticalToProcess) {
-  Rng rng(3);
-  auto scenario = make_scenario(rng);
-  PipelineConfig config = make_config(GetParam());
-  config.max_batch_rows = 64;  // Force internal chunking.
-
-  Pipeline sequential(config);
-  sequential.fit(scenario.train.x, scenario.train.labels);
-  Pipeline batched(config);
-  batched.fit(scenario.train.x, scenario.train.labels);
-
-  std::vector<PipelineStep> expected;
-  expected.reserve(scenario.test.size());
-  for (std::size_t i = 0; i < scenario.test.size(); ++i) {
-    expected.push_back(
-        sequential.process(scenario.test.x.row(i), scenario.test.labels[i]));
-  }
-
-  // Feed the same stream in odd-sized blocks (larger than max_batch_rows to
-  // exercise the internal chunk loop, and a ragged tail).
-  const std::size_t block_rows = 150;
-  std::vector<PipelineStep> actual;
-  actual.reserve(scenario.test.size());
-  for (std::size_t start = 0; start < scenario.test.size();
-       start += block_rows) {
-    const std::size_t rows =
-        std::min(block_rows, scenario.test.size() - start);
-    linalg::Matrix block(rows, scenario.test.dim());
-    for (std::size_t r = 0; r < rows; ++r) {
-      const auto src = scenario.test.x.row(start + r);
-      std::copy(src.begin(), src.end(), block.row(r).begin());
+/// Feeds the whole test stream to `pipeline` through process_block() in
+/// blocks of `block_rows` rows, read in place as views of the dataset.
+/// `hidden`, when non-null, is the caller's projection of every test row and
+/// is handed over block by block.
+std::vector<PipelineStep> run_blocks(Pipeline& pipeline, const Dataset& test,
+                                     std::size_t block_rows,
+                                     const linalg::Matrix* hidden) {
+  std::vector<PipelineStep> steps;
+  steps.reserve(test.size());
+  for (std::size_t start = 0; start < test.size(); start += block_rows) {
+    const std::size_t end = std::min(start + block_rows, test.size());
+    const std::span<const int> labels =
+        std::span<const int>(test.labels).subspan(start, end - start);
+    if (hidden != nullptr) {
+      const linalg::ConstMatrixView h{*hidden, start, end};
+      pipeline.process_block({test.x, start, end}, labels, steps, &h);
+    } else {
+      pipeline.process_block({test.x, start, end}, labels, steps);
     }
-    const std::span<const int> labels(scenario.test.labels.data() + start,
-                                      rows);
-    const auto steps = batched.process_batch(block, labels);
-    actual.insert(actual.end(), steps.begin(), steps.end());
   }
+  return steps;
+}
 
+void expect_same_steps(const std::vector<PipelineStep>& actual,
+                       const std::vector<PipelineStep>& expected) {
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
     SCOPED_TRACE("sample " + std::to_string(i));
@@ -237,11 +220,79 @@ TEST_P(DetectorKindTest, ProcessBatchBitIdenticalToProcess) {
     EXPECT_EQ(a.statistic, e.statistic);
     EXPECT_EQ(a.statistic_valid, e.statistic_valid);
   }
-  EXPECT_EQ(batched.stats().samples, sequential.stats().samples);
-  EXPECT_EQ(batched.stats().drifts, sequential.stats().drifts);
-  EXPECT_EQ(batched.stats().recoveries, sequential.stats().recoveries);
-  EXPECT_EQ(batched.stats().recovery_samples,
-            sequential.stats().recovery_samples);
+}
+
+void expect_same_history(const Pipeline& actual, const Pipeline& expected) {
+  EXPECT_EQ(actual.stats().samples, expected.stats().samples);
+  EXPECT_EQ(actual.stats().drifts, expected.stats().drifts);
+  EXPECT_EQ(actual.stats().recoveries, expected.stats().recoveries);
+  EXPECT_EQ(actual.stats().recovery_samples,
+            expected.stats().recovery_samples);
+}
+
+// The load-bearing contract of the batched hot path: process_block() must be
+// sample-for-sample bit-identical to process(), including across the drift,
+// the recovery that follows it, and (for batch detectors) the reference
+// refill — whether the pipeline projects the rows itself, the caller supplies
+// the hidden block (the coalesced drain's scatter), or the rows arrive as
+// 1-row blocks (the per-sample step). Runs every detector kind so
+// frozen-chunk boundaries are exercised against every recovery entry point.
+TEST_P(DetectorKindTest, ProcessBatchBitIdenticalToProcess) {
+  Rng rng(3);
+  auto scenario = make_scenario(rng);
+  PipelineConfig config = make_config(GetParam());
+  config.max_batch_rows = 64;  // Force internal chunking.
+
+  Pipeline sequential(config);
+  sequential.fit(scenario.train.x, scenario.train.labels);
+  std::vector<PipelineStep> expected;
+  expected.reserve(scenario.test.size());
+  for (std::size_t i = 0; i < scenario.test.size(); ++i) {
+    expected.push_back(
+        sequential.process(scenario.test.x.row(i), scenario.test.labels[i]));
+  }
+  // The caller-side projection of every test row, as the serving layer's
+  // coalesced drain computes it: one batch GEMM over the shared projection.
+  linalg::Matrix hidden;
+  sequential.model().projection()->hidden_batch_into(scenario.test.x, hidden);
+
+  // Odd-sized blocks (larger than max_batch_rows to exercise the internal
+  // chunk loop, and a ragged tail), then 1-row blocks.
+  struct Run {
+    const char* name;
+    std::size_t block_rows;
+    bool supply_hidden;
+  };
+  for (const Run run : {Run{"projected here", 150, false},
+                        Run{"hidden supplied", 150, true},
+                        Run{"1-row blocks", 1, false},
+                        Run{"1-row blocks, hidden supplied", 1, true}}) {
+    SCOPED_TRACE(run.name);
+    Pipeline batched(config);
+    batched.fit(scenario.train.x, scenario.train.labels);
+    expect_same_steps(run_blocks(batched, scenario.test, run.block_rows,
+                                 run.supply_hidden ? &hidden : nullptr),
+                      expected);
+    expect_same_history(batched, sequential);
+    if (run.block_rows == 1) {
+      // A 1-row block is the per-sample step, not a one-row GEMM chunk.
+      EXPECT_EQ(batched.stats().batch_chunks, 0u);
+      EXPECT_EQ(batched.stats().batch_rows, 0u);
+    }
+  }
+
+  // Chunked recovery training: not bit-identical to process(), but the
+  // supplied hidden block must change nothing against projecting here.
+  config.train_chunk = 4;
+  Pipeline projected(config);
+  projected.fit(scenario.train.x, scenario.train.labels);
+  Pipeline supplied(config);
+  supplied.fit(scenario.train.x, scenario.train.labels);
+  SCOPED_TRACE("train_chunk = 4");
+  expect_same_steps(run_blocks(supplied, scenario.test, 150, &hidden),
+                    run_blocks(projected, scenario.test, 150, nullptr));
+  expect_same_history(supplied, projected);
+  EXPECT_GE(projected.stats().recoveries, 1u);
 }
 
 // Every recovery policy must run to completion for every detector kind and

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -393,6 +394,14 @@ TEST(Ingestion, NonFiniteRowIsRefusedAndDriftStillDetected) {
   ASSERT_EQ(steps.size(), kRows - 1);
   EXPECT_EQ(manager.telemetry(0).non_finite.load(), 1u);
   EXPECT_EQ(manager.telemetry(0).submitted, kRows - 1);
+  // The refusal reaches the operator's snapshot, in both renderings.
+  const edgedrift::obs::Snapshot snap = manager.stats();
+  ASSERT_EQ(snap.streams.size(), 1u);
+  EXPECT_EQ(snap.streams[0].counters.non_finite, 1u);
+  EXPECT_EQ(snap.totals().non_finite, 1u);
+  EXPECT_NE(snap.to_json("test").find("\"non_finite\": 1"),
+            std::string::npos);
+  EXPECT_NE(snap.to_text().find("non-finite"), std::string::npos);
 
   bool detected = false;
   for (std::size_t k = 0; k < steps.size(); ++k) {

@@ -365,7 +365,7 @@ TEST_P(CheckpointResave, ByteIdenticalMidStreamAfterChunkedRecovery) {
   while (at + kBurst <= stream.size() &&
          (finished_at == 0 || at < finished_at + 3 * kBurst)) {
     steps.clear();
-    pipeline.process_batch_range(stream.x, at, at + kBurst, {}, steps);
+    pipeline.process_block({stream.x, at, at + kBurst}, {}, steps);
     for (std::size_t i = 0; i < steps.size(); ++i) {
       if (steps[i].reconstruction_finished && finished_at == 0) {
         finished_at = at + i;

@@ -131,7 +131,7 @@ TEST(StageTimer, UnknownStageReadsZero) {
 TEST(StageTimer, ScopeMeasuresElapsedTime) {
   StageTimer timer;
   {
-    StageTimer::Scope scope(timer, "sleep");
+    StageTimer::Scope scope(&timer, "sleep");
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_GE(timer.seconds("sleep"), 0.004);
