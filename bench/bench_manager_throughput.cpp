@@ -37,7 +37,7 @@
 // The nsl-kdd section also carries the coalescing ablation: a seeded
 // projection group of 16/64 resident streams drained at 1-8 pending
 // rows/stream with the cross-stream planner on vs off
-// (DrainOptions::coalesce). The resident=64 records feed
+// (ManagerOptions::coalesce). The resident=64 records feed
 // tools/check_coalesce_gain.py, which perf-smoke CI uses to gate the
 // mega-batch drain's advantage at high density.
 //
@@ -144,7 +144,7 @@ void run_coalesce_ablation(const core::PipelineConfig& config,
     core::ManagerOptions options;
     options.dispatch = core::DispatchMode::kManual;
     options.queue_capacity = std::max<std::size_t>(64, burst);
-    options.drain_opts.coalesce = m == 0;
+    options.coalesce = m == 0;
     options.numerics = tier;
     modes[m].options = options;
     modes[m].manager =
@@ -262,11 +262,12 @@ void run_train_ablation(const core::PipelineConfig& base,
     core::ManagerOptions options;
     options.dispatch = core::DispatchMode::kManual;
     options.queue_capacity = std::max<std::size_t>(64, burst);
-    options.drain_opts.train_chunk = chunks[m];
     options.numerics = tier;
+    core::PipelineConfig chunk_config = config;
+    chunk_config.train_chunk = chunks[m];
     modes[m].options = options;
     modes[m].manager =
-        std::make_unique<core::PipelineManager>(config, 1, options);
+        std::make_unique<core::PipelineManager>(chunk_config, 1, options);
     modes[m].manager->fit(0, train.x, train.labels);
     modes[m].manager->seed_cold_from(0, resident - 1);
     // Warm-up doubles as the drift trigger: drive the drifted stream until

@@ -91,42 +91,23 @@ enum class SubmitStatus {
   kNonFinite,          ///< A value is NaN or infinite; nothing enqueued.
 };
 
-/// Cross-stream drain-planner knobs (see manager_coalesce.cpp). When a
-/// drain cycle covers several ready streams that share a projection group —
-/// equal alpha/bias fingerprint, dims, activation and numerics tier, which
-/// is every stream seeded from one template via seed_cold_from() — the
-/// planner gathers their pending ring bursts into one staging slab, runs a
-/// single shared projection GEMM over the mega-batch, and scatters the
-/// hidden rows back into each stream's own scoring/detection. Results are
-/// bit-identical to per-stream draining at kExactF64 (the projection is
-/// row-independent) and decision-equivalent at the approximate tiers.
-struct DrainOptions {
-  /// Coalesce eligible streams within a drain cycle.
-  bool coalesce = true;
-  /// Largest mega-batch the planner stages for one shared GEMM. Rows
-  /// beyond this drain through the normal per-stream path the same cycle.
-  std::size_t coalesce_rows = 1024;
-  /// Minimum streams that must share a projection group before coalescing
-  /// pays for the staging copy; smaller groups fall back per-stream.
-  std::size_t coalesce_min_streams = 2;
-  /// Extra time a shard worker may wait after waking, letting more ready
-  /// streams accumulate into the cycle before planning. 0 (default) means
-  /// the planner only ever coalesces rows already published at wake-up —
-  /// a lone stream is never delayed waiting for company.
-  std::uint64_t coalesce_wait_ns = 0;
-  /// Chunked rank-k recovery training for every managed stream
-  /// (PipelineConfig::train_chunk): 0 (default) keeps each pipeline's own
-  /// setting; a value > 0 overrides it at construction. With chunking on,
-  /// recovering streams stay eligible for the coalesced mega-batch drain
-  /// instead of being carved out to the per-stream path.
-  std::size_t train_chunk = 0;
-};
-
 /// Serving-layer knobs, fixed at construction.
 struct ManagerOptions {
   std::size_t queue_capacity = 1024;  ///< Ring slots per stream.
   std::size_t drain_batch_max = 128;  ///< Largest rows per drain burst.
-  DrainOptions drain_opts;            ///< Cross-stream coalescing knobs.
+  /// Coalesce ready streams within a drain cycle (manager_coalesce.cpp).
+  /// Streams sharing a projection group — equal alpha/bias fingerprint,
+  /// dims, activation and numerics tier, which is every stream seeded from
+  /// one template via seed_cold_from() — have their pending ring bursts
+  /// gathered into one staging slab, projected by a single shared GEMM, and
+  /// scattered back into each stream's own scoring and detection. Results
+  /// are bit-identical to per-stream draining at kExactF64 (the projection
+  /// is row-independent) and decision-equivalent at the approximate tiers.
+  /// Only rows already published when the worker wakes are coalesced: a
+  /// lone stream is never delayed waiting for company. A recovering stream
+  /// stays in its group only with chunked training
+  /// (PipelineConfig::train_chunk > 1); otherwise it drains per-stream.
+  bool coalesce = true;
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   DispatchMode dispatch = DispatchMode::kShard;
   /// Independent serving shards (kShard dispatch spawns one worker each).
@@ -179,30 +160,30 @@ class PipelineManager {
   void fit(std::size_t id, const linalg::Matrix& x,
            std::span<const int> labels);
 
-  /// Enqueues one sample (copied into the stream's ring slab) and returns
-  /// true. A cold stream is restored first (transparently; the sample then
-  /// proceeds as usual). On a full ring: kBlock waits for space (in kManual
-  /// dispatch the submitting thread drains the stream inline instead of
-  /// deadlocking); kReject returns false and counts the drop. Processing
-  /// happens on the owning shard's worker in submission order per stream
-  /// (kShard) or when the caller polls (kManual). On failure `status`
-  /// (when non-null) receives the typed reason; an unknown id or a failed
-  /// restore returns false instead of asserting. A sample holding NaN or
-  /// Inf is refused with kNonFinite (and counted in telemetry) before it
-  /// reaches the ring: one such value would poison the label's centroid and
-  /// silence the detector for good.
+  /// Enqueues one sample: submit_batch() of a 1-row block labelled
+  /// `true_label`. Returns true when the sample was accepted.
   bool submit(std::size_t id, std::span<const double> x, int true_label = -1,
               SubmitStatus* status = nullptr);
 
-  /// Enqueues every row of a block under one ring reservation (one producer
-  /// lock, one tail publish per contiguous segment, one scheduling check).
+  /// Enqueues every row of a block (copied into the stream's ring slab)
+  /// under one producer lock, with one tail publish per contiguous segment
+  /// and one scheduling check. A cold stream is restored first
+  /// (transparently; the rows then proceed as usual). On a full ring:
+  /// kBlock waits for space (in kManual dispatch the submitting thread
+  /// drains the stream inline instead of deadlocking); kReject drops the
+  /// remaining rows and counts them in telemetry. Processing happens on the
+  /// owning shard's worker in submission order per stream (kShard) or when
+  /// the caller polls (kManual).
+  ///
   /// `true_labels` must be empty or hold exactly one label per row — a
   /// partial span enqueues nothing and reports kBadLabelSpan; it is never
-  /// read out of bounds. Likewise a block holding any NaN or Inf enqueues
-  /// nothing and reports kNonFinite. Returns the number of rows accepted
-  /// (< x.rows() under kReject backpressure or on a typed error, see
-  /// `status`).
-  std::size_t submit_batch(std::size_t id, const linalg::Matrix& x,
+  /// read out of bounds. A block holding any NaN or Inf enqueues nothing
+  /// and reports kNonFinite (counted in telemetry): one such value would
+  /// poison its label's centroid and silence the detector for good. An
+  /// unknown id or a failed restore is reported, never asserted. Returns
+  /// the number of rows accepted (< x.rows() under kReject backpressure or
+  /// on a typed error); `status` (when non-null) receives the reason.
+  std::size_t submit_batch(std::size_t id, linalg::ConstMatrixView x,
                            std::span<const int> true_labels = {},
                            SubmitStatus* status = nullptr);
 
@@ -248,18 +229,22 @@ class PipelineManager {
   /// has reached its high-water capacity.
   void take_steps(std::size_t id, std::vector<PipelineStep>& out);
 
-  /// One stream's serving counters. drain() first.
+  /// One stream's serving counters. drain() first (the atomic ones may be
+  /// read at any time, see StreamTelemetry).
   const StreamTelemetry& telemetry(std::size_t id) const;
 
   /// One stream's pipeline counters (samples, drifts, ...), summed across
   /// its evict/restore cycles. drain() first.
-  const PipelineStats& stats(std::size_t id) const;
+  PipelineStats stats(std::size_t id) const;
 
   /// Counters summed across all streams (hot and cold). drain() first.
   PipelineStats totals() const;
 
   /// Observability snapshot: every stream (carried history + live block
-  /// for resident streams) plus one ShardSnapshot per shard. Safe to call
+  /// for resident streams) plus one ShardSnapshot per shard. The admission
+  /// counters — rejected, non_finite, ring_high_water — come from the
+  /// stream's serving telemetry, so they are reported with obs off too.
+  /// Safe to call
   /// at any time from any thread — per-shard consistency is provided by
   /// briefly holding each shard's evict mutex while its streams are read,
   /// so a snapshot never observes a half-evicted stream.
@@ -270,6 +255,12 @@ class PipelineManager {
   using Shard = detail::ShardState;
 
   void init_streams(const PipelineConfig& config, std::size_t num_streams);
+  /// Allocates the ring storage of a stream becoming resident.
+  void alloc_ring(Stream& s) const;
+  /// Marks `s` hot and adds it to the shard's hot set (footprint, gauges,
+  /// MRU end of the LRU list). Caller holds shard.evict_mutex; the
+  /// pipeline and ring are already in place. evict_locked() undoes it.
+  void admit_hot_locked(Shard& shard, Stream& s) const;
   void start_workers();
   /// Hands the stream to its shard worker if no drain cycle owns it.
   void maybe_schedule(Stream& s);
@@ -292,6 +283,13 @@ class PipelineManager {
   bool coalesce_eligible(const Stream& s) const;
   /// Processes everything currently published. Returns rows processed.
   std::size_t drain_burst(Stream& s);
+  /// Retires `rows` processed rows from ring position `head` (`queued` =
+  /// ring depth when they were taken): records their sampled
+  /// submit->drain latencies, advances the head, wakes blocked producers
+  /// and counts the burst in telemetry. pending_ and busy_ns stay with the
+  /// caller, which the coalesced drain settles once per group.
+  void commit_burst(Stream& s, std::uint64_t head, std::size_t rows,
+                    std::size_t queued);
   /// LRU touch + enforce_budget after a drain cycle.
   void after_drain(Stream& s);
   /// Evicts LRU-idle streams until the shard is within budget. Caller
@@ -299,8 +297,9 @@ class PipelineManager {
   /// the stream whose restore triggered this enforcement, whose
   /// produce_mutex the calling thread already holds.
   void enforce_budget_locked(Shard& shard, const Stream* skip = nullptr);
-  /// Serializes + releases one stream. Caller holds shard.evict_mutex and
-  /// s.produce_mutex, and s must be eligible (idle, fitted, hot).
+  /// Serializes + releases one stream, carrying its books into s.carried_*.
+  /// Caller holds shard.evict_mutex and s.produce_mutex, and s must be
+  /// eligible (idle, fitted, hot).
   bool evict_locked(Shard& shard, Stream& s);
   /// True when `s` may be evicted right now. Caller holds both mutexes.
   bool evictable_locked(const Stream& s) const;

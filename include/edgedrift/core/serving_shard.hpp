@@ -50,19 +50,22 @@ namespace edgedrift::core {
 
 /// Per-stream serving counters. Written by the consumer (and, for
 /// submitted/rejected/blocked, by producers under the stream's produce
-/// mutex); except for the atomic high-water mark, read them only after
-/// drain() — the drain-first contract.
+/// mutex); read the plain fields only after drain() — the drain-first
+/// contract. The atomic fields are the admission counters the obs snapshot
+/// reports (PipelineManager::stats() may read them at any time); they are
+/// their only home and survive eviction.
 struct StreamTelemetry {
   std::size_t submitted = 0;   ///< Samples accepted into the ring.
-  std::size_t rejected = 0;    ///< Samples dropped by kReject backpressure.
-  /// submit()/submit_batch() calls refused with kNonFinite. Atomic because
-  /// the check runs before the producer lock, so concurrent producers of
-  /// one stream may both count.
+  /// Samples dropped by kReject backpressure.
+  std::atomic<std::size_t> rejected{0};
+  /// submit()/submit_batch() calls refused with kNonFinite. The check runs
+  /// before the producer lock, so concurrent producers of one stream may
+  /// both count.
   std::atomic<std::size_t> non_finite{0};
   std::size_t blocked = 0;     ///< submit() calls that had to wait (kBlock).
   std::size_t processed = 0;   ///< Samples drained through the pipeline.
   std::size_t drain_bursts = 0;         ///< Contiguous drain segments run.
-  /// Max queued depth ever observed. Atomic (relaxed CAS-max) because both
+  /// Max queued depth ever observed. Raised by relaxed CAS-max because both
   /// the producer (after a tail publish) and the drain task (per burst)
   /// raise it concurrently; every other counter is single-writer.
   std::atomic<std::size_t> queue_high_water{0};
@@ -157,16 +160,13 @@ struct ManagedStream {
   ManagedStream* lru_next = nullptr;
   bool in_lru = false;
 
-  /// Observability and pipeline counters accumulated over every previous
-  /// hot period, merged in at eviction time (the live pipeline's books are
-  /// destroyed with it). Null until the first eviction, so the 100k
-  /// cold-seeded streams pay nothing for it.
-  std::unique_ptr<obs::StreamSnapshot> carried_obs;
+  /// Pipeline and observability books of every previous hot period,
+  /// merged in at eviction time (the live pipeline's books are destroyed
+  /// with it). The obs part is allocated at the first eviction and only
+  /// while the obs layer is on, so the 100k cold-seeded streams and every
+  /// obs-off stream pay nothing for it.
   PipelineStats carried_stats;
-  /// Scratch for stats(id)'s return-by-reference contract: filled with
-  /// carried + live counters on each call. mutable-by-convention (stats()
-  /// is const); drain-first contract applies.
-  PipelineStats stats_view;
+  std::unique_ptr<obs::StreamSnapshot> carried_obs;
 };
 
 /// Lock-free multi-producer stack of streams awaiting a drain cycle.
@@ -278,7 +278,7 @@ struct ShardState {
   /// run scan compare flat keys.
   std::vector<std::pair<std::uint64_t, ManagedStream*>> plan_keys;
   std::vector<GroupMember> plan;                ///< The current group.
-  linalg::Matrix stage_x;       ///< [coalesce_rows x dim] gathered inputs.
+  linalg::Matrix stage_x;       ///< [staged rows x dim] gathered inputs.
   linalg::Matrix stage_hidden;  ///< Shared projection of stage_x.
   std::vector<int> stage_labels;
   /// Prepacked GEMM panels of the group projection's alpha, keyed by the

@@ -318,6 +318,10 @@ class ConstMatrixViewT {
                       "view row range out of bounds");
   }
 
+  /// One row: a 1 x row.size() view over the span.
+  explicit ConstMatrixViewT(std::span<const T> row)
+      : data_(row.data()), rows_(1), cols_(row.size()) {}
+
   /// Rows [row_begin, row_end) of an existing view.
   ConstMatrixViewT(const ConstMatrixViewT& v, std::size_t row_begin,
                    std::size_t row_end)

@@ -2,9 +2,8 @@
 //
 // The always-on half of the observability layer (see obs/stream_obs.hpp):
 // one cache-friendly block of std::atomic<uint64_t> per stream, written
-// with relaxed increments by whichever thread is doing the work (producers
-// count rejections and ring depth, the single consumer counts everything
-// else) and read at any time by a stats() snapshot. Relaxed is enough
+// with relaxed increments by the stream's single consumer and read at any
+// time by a stats() snapshot. Relaxed is enough
 // because every field is an independent monotonic counter: a snapshot may
 // be "torn" across fields (samples_in one increment ahead of samples_out)
 // but each individual value is always a real count — the coherence
@@ -37,14 +36,15 @@ inline std::uint64_t now_ns() {
           .count());
 }
 
-/// Plain-value copy of one Counters block (what stats() hands out).
+/// Plain-value copy of one Counters block (what stats() hands out). The
+/// admission counters — rejected, non_finite, ring_high_water — are filled
+/// by the serving layer from its per-stream telemetry (they stay 0 in a
+/// lone pipeline's snapshot); the rest come from the Counters block.
 struct CounterSnapshot {
   std::uint64_t samples_in = 0;      ///< Samples entering the pipeline.
   std::uint64_t samples_out = 0;     ///< Samples fully processed.
   std::uint64_t rejected = 0;        ///< Dropped by kReject backpressure.
-  /// Submits refused for a NaN/Inf feature (filled by the serving layer
-  /// from its admission telemetry; a pipeline's own block never sees them).
-  std::uint64_t non_finite = 0;
+  std::uint64_t non_finite = 0;      ///< Submits refused for a NaN/Inf.
   std::uint64_t windows_opened = 0;  ///< Detector evaluation windows opened.
   std::uint64_t drifts = 0;          ///< Drift detections fired.
   std::uint64_t retrains = 0;        ///< Recoveries completed.
@@ -73,18 +73,14 @@ struct CounterSnapshot {
 
 /// Per-stream streaming counters, safe to read while written.
 ///
-/// Every add_* field has exactly one logical writer (the stream's single
-/// drain task; rejections come from producers serialized by the stream's
-/// produce mutex), so the mutators are plain load+store on the atomic —
-/// a regular store instead of a lock-prefixed RMW, which matters at two
-/// counter bumps per sample on a sub-microsecond batch path. Only
-/// ring_high_water has concurrent writers (producers and the drain task)
-/// and pays for a CAS loop.
+/// Every field has exactly one logical writer (the stream's single drain
+/// task), so the mutators are plain load+store on the atomic — a regular
+/// store instead of a lock-prefixed RMW, which matters at two counter bumps
+/// per sample on a sub-microsecond batch path.
 class Counters {
  public:
   void add_samples_in(std::uint64_t n = 1) { add(samples_in_, n); }
   void add_samples_out(std::uint64_t n = 1) { add(samples_out_, n); }
-  void add_rejected(std::uint64_t n = 1) { add(rejected_, n); }
   void add_window_opened() { add(windows_opened_, 1); }
   void add_drift() { add(drifts_, 1); }
   void add_retrain() { add(retrains_, 1); }
@@ -96,29 +92,17 @@ class Counters {
   void add_chunk_train_rows(std::uint64_t n) { add(chunk_train_rows_, n); }
   void add_requants_saved(std::uint64_t n) { add(requants_saved_, n); }
 
-  /// Relaxed CAS-max: producers of one stream may race each other here.
-  void update_ring_high_water(std::uint64_t depth) {
-    if constexpr (!kObsCompiled) return;
-    std::uint64_t cur = ring_high_water_.load(std::memory_order_relaxed);
-    while (depth > cur &&
-           !ring_high_water_.compare_exchange_weak(
-               cur, depth, std::memory_order_relaxed)) {
-    }
-  }
-
   CounterSnapshot snapshot() const {
     CounterSnapshot s;
     if constexpr (!kObsCompiled) return s;
     s.samples_in = samples_in_.load(std::memory_order_relaxed);
     s.samples_out = samples_out_.load(std::memory_order_relaxed);
-    s.rejected = rejected_.load(std::memory_order_relaxed);
     s.windows_opened = windows_opened_.load(std::memory_order_relaxed);
     s.drifts = drifts_.load(std::memory_order_relaxed);
     s.retrains = retrains_.load(std::memory_order_relaxed);
     s.chunk_trains = chunk_trains_.load(std::memory_order_relaxed);
     s.chunk_train_rows = chunk_train_rows_.load(std::memory_order_relaxed);
     s.requants_saved = requants_saved_.load(std::memory_order_relaxed);
-    s.ring_high_water = ring_high_water_.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -126,14 +110,12 @@ class Counters {
     if constexpr (!kObsCompiled) return;
     samples_in_.store(0, std::memory_order_relaxed);
     samples_out_.store(0, std::memory_order_relaxed);
-    rejected_.store(0, std::memory_order_relaxed);
     windows_opened_.store(0, std::memory_order_relaxed);
     drifts_.store(0, std::memory_order_relaxed);
     retrains_.store(0, std::memory_order_relaxed);
     chunk_trains_.store(0, std::memory_order_relaxed);
     chunk_train_rows_.store(0, std::memory_order_relaxed);
     requants_saved_.store(0, std::memory_order_relaxed);
-    ring_high_water_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -146,14 +128,12 @@ class Counters {
 
   std::atomic<std::uint64_t> samples_in_{0};
   std::atomic<std::uint64_t> samples_out_{0};
-  std::atomic<std::uint64_t> rejected_{0};
   std::atomic<std::uint64_t> windows_opened_{0};
   std::atomic<std::uint64_t> drifts_{0};
   std::atomic<std::uint64_t> retrains_{0};
   std::atomic<std::uint64_t> chunk_trains_{0};
   std::atomic<std::uint64_t> chunk_train_rows_{0};
   std::atomic<std::uint64_t> requants_saved_{0};
-  std::atomic<std::uint64_t> ring_high_water_{0};
 };
 
 }  // namespace edgedrift::obs

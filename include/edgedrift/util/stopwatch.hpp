@@ -1,7 +1,9 @@
-// Wall-clock timing helpers used by the evaluation harness and benches.
+// Wall-clock timing helpers used by the evaluation harness, the benches and
+// the serving layer's busy-time telemetry.
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 
 namespace edgedrift::util {
 
@@ -20,6 +22,14 @@ class Stopwatch {
 
   /// Elapsed milliseconds since construction or the last restart().
   double elapsed_ms() const { return elapsed_seconds() * 1e3; }
+
+  /// Elapsed whole nanoseconds since construction or the last restart().
+  std::uint64_t elapsed_ns() const {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                             start_)
+            .count());
+  }
 
  private:
   using Clock = std::chrono::steady_clock;

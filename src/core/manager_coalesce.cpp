@@ -32,9 +32,19 @@
 
 #include "edgedrift/core/pipeline_manager.hpp"
 #include "edgedrift/linalg/gather.hpp"
-#include "edgedrift/util/assert.hpp"
+#include "edgedrift/util/stopwatch.hpp"
 
 namespace edgedrift::core {
+namespace {
+
+/// Largest mega-batch staged for one shared GEMM. Rows beyond it drain
+/// through the per-stream path in the same cycle.
+constexpr std::size_t kCoalesceRows = 1024;
+/// Fewest streams a projection group needs before the staging copy pays
+/// for itself; smaller groups drain per-stream.
+constexpr std::size_t kCoalesceMinStreams = 2;
+
+}  // namespace
 
 bool PipelineManager::coalesce_eligible(const Stream& s) const {
   // Residency and the pipeline pointer are stable while the caller holds
@@ -52,10 +62,9 @@ bool PipelineManager::coalesce_eligible(const Stream& s) const {
 }
 
 void PipelineManager::coalesce_candidates(Shard& shard) {
-  const DrainOptions& opts = options_.drain_opts;
   auto& cand = shard.plan_candidates;
   if (cand.empty()) return;
-  if (cand.size() < opts.coalesce_min_streams) {
+  if (cand.size() < kCoalesceMinStreams) {
     shard.obs.add_coalesce_fallback(cand.size());
     return;
   }
@@ -90,7 +99,7 @@ void PipelineManager::coalesce_candidates(Shard& shard) {
       ++run_end;
     }
     const std::size_t width = static_cast<std::size_t>(run_end - run_begin);
-    if (width < opts.coalesce_min_streams) {
+    if (width < kCoalesceMinStreams) {
       // Group of one (or a fingerprint mismatch splitting the shard):
       // staging would only add a copy on top of the same GEMM.
       shard.obs.add_coalesce_fallback(width);
@@ -103,20 +112,18 @@ void PipelineManager::coalesce_candidates(Shard& shard) {
     // producer.
     shard.plan.clear();
     std::size_t total = 0;
-    for (auto it = run_begin; it != run_end && total < opts.coalesce_rows;
-         ++it) {
+    for (auto it = run_begin; it != run_end && total < kCoalesceRows; ++it) {
       Stream& s = *it->second;
       const std::uint64_t head = s.head.load();
       const std::size_t queued =
           static_cast<std::size_t>(s.tail.load() - head);
       const std::size_t take =
-          std::min({queued, options_.drain_batch_max,
-                    opts.coalesce_rows - total});
+          std::min({queued, options_.drain_batch_max, kCoalesceRows - total});
       if (take == 0) continue;
       shard.plan.push_back({&s, head, take, total, queued});
       total += take;
     }
-    if (shard.plan.empty() || shard.plan.size() < opts.coalesce_min_streams) {
+    if (shard.plan.size() < kCoalesceMinStreams) {
       shard.obs.add_coalesce_fallback(width);
     } else {
       coalesce_group(shard);
@@ -129,7 +136,7 @@ void PipelineManager::coalesce_group(Shard& shard) {
   auto& plan = shard.plan;
   const std::size_t capacity = options_.queue_capacity;
   const std::size_t total = plan.back().offset + plan.back().take;
-  const std::uint64_t t0 = obs::now_ns();
+  const util::Stopwatch clock;
 
   // Gather: each member's ring burst is at most two contiguous segments of
   // its slab, copied into its reserved staging block. Labels ride along in
@@ -164,9 +171,8 @@ void PipelineManager::coalesce_group(Shard& shard) {
                          shard.packed_alpha);
 
   // Scatter: each stream scores its row block against its own packed beta
-  // and runs its own detector, then releases its ring slots. Per-slot
-  // bookkeeping mirrors drain_burst exactly — latency stamps are read
-  // before the head advance frees the slots for producer reuse.
+  // and runs its own detector, then retires its ring slots exactly like the
+  // per-stream drain.
   for (const auto& m : plan) {
     Stream& s = *m.stream;
     {
@@ -178,25 +184,7 @@ void PipelineManager::coalesce_group(Shard& shard) {
           std::span<const int>(shard.stage_labels).subspan(m.offset, m.take),
           s.steps, &hidden);
     }
-    if (obs_on_) {
-      obs::StreamObs& ob = s.pipeline->obs();
-      const std::uint64_t mask = ob.latency_sample_mask();
-      const std::uint64_t first = (m.head + mask) & ~mask;
-      if (first < m.head + m.take) {
-        const std::uint64_t t_end = obs::now_ns();
-        for (std::uint64_t a = first; a < m.head + m.take; a += mask + 1) {
-          ob.submit_to_drain.record(
-              t_end - s.submit_ns[static_cast<std::size_t>(a % capacity)]);
-        }
-      }
-      ob.counters.update_ring_high_water(m.queued);
-    }
-    s.head.store(m.head + m.take);
-    notify_space(s);
-    ++s.telemetry.drain_bursts;
-    ++s.telemetry.drain_burst_hist[detail::burst_bucket(m.take)];
-    s.telemetry.processed += m.take;
-    detail::raise_high_water(s.telemetry.queue_high_water, m.queued);
+    commit_burst(s, m.head, m.take, m.queued);
   }
 
   // One decrement for the whole group: nothing reads pending_ between the
@@ -208,7 +196,7 @@ void PipelineManager::coalesce_group(Shard& shard) {
   // The group's wall time covers gather + GEMM + every member's scatter;
   // attribute it to members by row share so per-stream samples_per_second
   // stays meaningful.
-  const std::uint64_t elapsed = obs::now_ns() - t0;
+  const std::uint64_t elapsed = clock.elapsed_ns();
   for (const auto& m : plan) {
     m.stream->telemetry.busy_ns += elapsed * m.take / total;
   }

@@ -30,6 +30,20 @@ std::size_t PipelineManager::hot_footprint(const Stream& s) const {
   return bytes;
 }
 
+void PipelineManager::alloc_ring(Stream& s) const {
+  s.slab.resize_zero(options_.queue_capacity, template_config_.input_dim);
+  s.labels.assign(options_.queue_capacity, -1);
+  if (obs_on_) s.submit_ns.assign(options_.queue_capacity, 0);
+}
+
+void PipelineManager::admit_hot_locked(Shard& shard, Stream& s) const {
+  s.residency = Stream::Residency::kHot;
+  s.hot_footprint_bytes = hot_footprint(s);
+  ++shard.hot_streams;
+  shard.hot_bytes += s.hot_footprint_bytes;
+  shard.lru.push_mru(&s);
+}
+
 bool PipelineManager::evictable_locked(const Stream& s) const {
   // Idle: no published-but-undrained rows, no drain cycle holding the
   // consumer role (the worker only touches the pipeline inside a cycle),
@@ -66,9 +80,9 @@ bool PipelineManager::evict_locked(Shard& shard, Stream& s) {
     }
   }
 
-  // Release the hot state: the model and the ring storage. Telemetry,
-  // steps and the monotonic ring counters stay (the ring is empty, so
-  // head == tail survives the slab's absence).
+  // Release the hot state, undoing alloc_ring + admit_hot_locked.
+  // Telemetry, steps and the monotonic ring counters stay (the ring is
+  // empty, so head == tail survives the slab's absence).
   shard.lru.erase(&s);
   EDGEDRIFT_ASSERT(shard.hot_streams > 0, "hot-stream accounting underflow");
   --shard.hot_streams;
@@ -169,19 +183,13 @@ bool PipelineManager::restore_cold(Shard& shard, Stream& s) {
     return false;
   }
   s.pipeline = std::make_unique<Pipeline>(std::move(*pipeline));
-  s.slab.resize_zero(options_.queue_capacity, template_config_.input_dim);
-  s.labels.assign(options_.queue_capacity, -1);
-  if (obs_on_) s.submit_ns.assign(options_.queue_capacity, 0);
+  alloc_ring(s);
   {
     std::lock_guard elock(shard.evict_mutex);
-    s.residency = Stream::Residency::kHot;
-    s.hot_footprint_bytes = hot_footprint(s);
-    ++shard.hot_streams;
     EDGEDRIFT_ASSERT(shard.cold_streams > 0,
                      "cold-stream accounting underflow");
     --shard.cold_streams;
-    shard.hot_bytes += s.hot_footprint_bytes;
-    shard.lru.push_mru(&s);
+    admit_hot_locked(shard, s);
     shard.cold.erase(static_cast<std::uint64_t>(s.id));
     shard.obs.add_restore();
     if (obs_on_) shard.obs.restore_ns().record(obs::now_ns() - t0);

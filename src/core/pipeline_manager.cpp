@@ -4,21 +4,13 @@
 #include "edgedrift/core/pipeline_manager.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <chrono>
 #include <cmath>
 
 #include "edgedrift/util/assert.hpp"
+#include "edgedrift/util/stopwatch.hpp"
 
 namespace edgedrift::core {
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 using detail::burst_bucket;
 using detail::raise_high_water;
@@ -50,9 +42,6 @@ PipelineManager::PipelineManager(const PipelineConfig& config,
                    "drain_batch_max must be > 0");
   if (options_.shards == 0) options_.shards = 1;
   if (options_.numerics) template_config_.numerics = *options_.numerics;
-  if (options_.drain_opts.train_chunk > 0) {
-    template_config_.train_chunk = options_.drain_opts.train_chunk;
-  }
   shards_.reserve(options_.shards);
   for (std::size_t i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
@@ -76,16 +65,11 @@ void PipelineManager::init_streams(const PipelineConfig& config,
     stream->id = i;
     stream->shard = shard_of(i);
     stream->pipeline = std::make_unique<Pipeline>(stream_config);
-    stream->slab.resize_zero(options_.queue_capacity, config.input_dim);
-    stream->labels.assign(options_.queue_capacity, -1);
-    if (obs_on_) stream->submit_ns.assign(options_.queue_capacity, 0);
+    alloc_ring(*stream);
     Shard& shard = *shards_[stream->shard];
     {
       std::lock_guard lock(shard.evict_mutex);
-      stream->hot_footprint_bytes = hot_footprint(*stream);
-      shard.lru.push_mru(stream.get());
-      ++shard.hot_streams;
-      shard.hot_bytes += stream->hot_footprint_bytes;
+      admit_hot_locked(shard, *stream);
     }
     streams_.push_back(std::move(stream));
   }
@@ -126,90 +110,12 @@ void PipelineManager::fit(std::size_t id, const linalg::Matrix& x,
 
 bool PipelineManager::submit(std::size_t id, std::span<const double> x,
                              int true_label, SubmitStatus* status) {
-  set_status(status, SubmitStatus::kOk);
-  if (id >= streams_.size()) {
-    set_status(status, SubmitStatus::kUnknownStream);
-    return false;
-  }
-  Stream& s = *streams_[id];
-  if (x.size() != template_config_.input_dim) {
-    set_status(status, SubmitStatus::kDimensionMismatch);
-    return false;
-  }
-  if (!all_finite(x)) {
-    set_status(status, SubmitStatus::kNonFinite);
-    s.telemetry.non_finite.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  Shard& shard = *shards_[s.shard];
-  const std::uint64_t capacity = options_.queue_capacity;
-  {
-    std::unique_lock lock(s.produce_mutex);
-    bool counted_block = false;
-    for (;;) {
-      // Checked inside the loop: every wait below releases produce_mutex,
-      // and an evictor may push the stream cold while this producer sleeps
-      // (space_waiters blocks that for the cv wait, but the kManual poll
-      // unlock has no such guard) — the slab must be re-materialized before
-      // any slot is written.
-      if (s.residency == Stream::Residency::kCold &&
-          !restore_cold(shard, s)) {
-        set_status(status, SubmitStatus::kRestoreFailed);
-        return false;
-      }
-      const std::uint64_t tail = s.tail.load();
-      if (tail - s.head.load() < capacity) break;
-      if (options_.backpressure == BackpressurePolicy::kReject) {
-        ++s.telemetry.rejected;
-        if (obs_on_) s.pipeline->obs().counters.add_rejected(1);
-        return false;
-      }
-      if (!counted_block) {
-        ++s.telemetry.blocked;
-        counted_block = true;
-      }
-      if (options_.dispatch == DispatchMode::kManual) {
-        // No consumer exists to free slots: drain the stream on this
-        // thread (manual mode is single-threaded operation by design).
-        lock.unlock();
-        poll(id);
-        lock.lock();
-        continue;
-      }
-      // Make sure a consumer is actually running before sleeping on it.
-      maybe_schedule(s);
-      s.space_waiters.fetch_add(1);
-      s.space_cv.wait(lock, [&] {
-        return s.tail.load() - s.head.load() < capacity;
-      });
-      s.space_waiters.fetch_sub(1);
-    }
-    const std::uint64_t tail = s.tail.load();
-    const std::size_t pos = static_cast<std::size_t>(tail % capacity);
-    s.slab.set_row(pos, x);
-    s.labels[pos] = true_label;
-    // pending_ rises before the row is published so the consumer's
-    // burst-sized decrement can never run ahead of it.
-    pending_.fetch_add(1);
-    // Stamp only the sampled slots (absolute position selects them, so the
-    // drain side — which advances the same counter — reads exactly these).
-    if (obs_on_ &&
-        (tail & s.pipeline->obs().latency_sample_mask()) == 0) {
-      s.submit_ns[pos] = obs::now_ns();
-    }
-    s.tail.store(tail + 1);
-    ++s.telemetry.submitted;
-    const std::size_t depth =
-        static_cast<std::size_t>(tail + 1 - s.head.load());
-    raise_high_water(s.telemetry.queue_high_water, depth);
-    if (obs_on_) s.pipeline->obs().counters.update_ring_high_water(depth);
-  }
-  maybe_schedule(s);
-  return true;
+  return submit_batch(id, linalg::ConstMatrixView(x), {&true_label, 1},
+                      status) == 1;
 }
 
 std::size_t PipelineManager::submit_batch(std::size_t id,
-                                          const linalg::Matrix& x,
+                                          linalg::ConstMatrixView x,
                                           std::span<const int> true_labels,
                                           SubmitStatus* status) {
   set_status(status, SubmitStatus::kOk);
@@ -231,7 +137,7 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
   // Like a bad label span, one non-finite value refuses the whole block:
   // admitting the rows before it would leave the caller to work out which
   // prefix went in.
-  if (!all_finite({x.data(), x.size()})) {
+  if (!all_finite({x.data(), x.rows() * x.cols()})) {
     set_status(status, SubmitStatus::kNonFinite);
     s.telemetry.non_finite.fetch_add(1, std::memory_order_relaxed);
     return 0;
@@ -242,10 +148,12 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
   {
     std::unique_lock lock(s.produce_mutex);
     bool counted_block = false;
-    std::size_t r = 0;
-    while (r < x.rows()) {
-      // Re-checked per iteration: the waits below release produce_mutex
-      // (see submit()), so the stream may have gone cold mid-batch.
+    while (accepted < x.rows()) {
+      // Checked per iteration: every wait below releases produce_mutex, and
+      // an evictor may push the stream cold while this producer sleeps
+      // (space_waiters blocks that for the cv wait, but the kManual poll
+      // unlock has no such guard) — the slab must be re-materialized before
+      // any slot is written.
       if (s.residency == Stream::Residency::kCold &&
           !restore_cold(shard, s)) {
         set_status(status, SubmitStatus::kRestoreFailed);
@@ -255,10 +163,8 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
       const std::uint64_t avail = capacity - (tail - s.head.load());
       if (avail == 0) {
         if (options_.backpressure == BackpressurePolicy::kReject) {
-          s.telemetry.rejected += x.rows() - r;
-          if (obs_on_) {
-            s.pipeline->obs().counters.add_rejected(x.rows() - r);
-          }
+          s.telemetry.rejected.fetch_add(x.rows() - accepted,
+                                         std::memory_order_relaxed);
           break;
         }
         if (!counted_block) {
@@ -266,11 +172,14 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
           counted_block = true;
         }
         if (options_.dispatch == DispatchMode::kManual) {
+          // No consumer exists to free slots: drain the stream on this
+          // thread (manual mode is single-threaded operation by design).
           lock.unlock();
           poll(id);
           lock.lock();
           continue;
         }
+        // Make sure a consumer is actually running before sleeping on it.
         maybe_schedule(s);
         s.space_waiters.fetch_add(1);
         s.space_cv.wait(lock, [&] {
@@ -280,33 +189,37 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
         continue;
       }
       // One reservation covers every row that fits right now: copy them
-      // all, then publish with a single tail store.
-      const std::size_t take =
-          static_cast<std::size_t>(std::min<std::uint64_t>(avail,
-                                                           x.rows() - r));
+      // all, then publish with a single tail store. pending_ rises before
+      // the publish so the consumer's burst-sized decrement can never run
+      // ahead of it.
+      const std::size_t take = static_cast<std::size_t>(
+          std::min<std::uint64_t>(avail, x.rows() - accepted));
       pending_.fetch_add(take);
-      // One timestamp per reservation segment: every sampled row of the
-      // segment entered the ring "now" for submit->drain latency purposes.
-      // Only slots whose absolute position matches the sample mask are
-      // stamped — the drain side reads exactly those.
-      const std::uint64_t t_sub = obs_on_ ? obs::now_ns() : 0;
-      const std::uint64_t mask =
-          obs_on_ ? s.pipeline->obs().latency_sample_mask() : 0;
       for (std::size_t i = 0; i < take; ++i) {
         const std::size_t pos =
             static_cast<std::size_t>((tail + i) % capacity);
-        s.slab.set_row(pos, x.row(r + i));
-        s.labels[pos] = true_labels.empty() ? -1 : true_labels[r + i];
-        if (obs_on_ && ((tail + i) & mask) == 0) s.submit_ns[pos] = t_sub;
+        s.slab.set_row(pos, x.row(accepted + i));
+        s.labels[pos] = true_labels.empty() ? -1 : true_labels[accepted + i];
+      }
+      // Stamp only the sampled slots (absolute position & mask == 0, so the
+      // drain side, which advances the same counter, reads exactly these),
+      // all with one clock read — and none when the segment holds no
+      // sampled slot, which keeps per-row submit() off the clock.
+      if (obs_on_) {
+        const std::uint64_t mask = s.pipeline->obs().latency_sample_mask();
+        const std::uint64_t first = (tail + mask) & ~mask;
+        if (first < tail + take) {
+          const std::uint64_t t_sub = obs::now_ns();
+          for (std::uint64_t a = first; a < tail + take; a += mask + 1) {
+            s.submit_ns[static_cast<std::size_t>(a % capacity)] = t_sub;
+          }
+        }
       }
       s.tail.store(tail + take);
       s.telemetry.submitted += take;
-      const std::size_t depth =
-          static_cast<std::size_t>(tail + take - s.head.load());
-      raise_high_water(s.telemetry.queue_high_water, depth);
-      if (obs_on_) s.pipeline->obs().counters.update_ring_high_water(depth);
+      raise_high_water(s.telemetry.queue_high_water,
+                       static_cast<std::size_t>(tail + take - s.head.load()));
       accepted += take;
-      r += take;
     }
   }
   if (accepted > 0) maybe_schedule(s);
@@ -316,9 +229,9 @@ std::size_t PipelineManager::submit_batch(std::size_t id,
 std::size_t PipelineManager::drain_burst(Stream& s) {
   const std::size_t capacity = options_.queue_capacity;
   std::uint64_t head = s.head.load();
-  std::uint64_t tail = s.tail.load();
   std::size_t total = 0;
-  while (head != tail) {
+  for (std::uint64_t tail = s.tail.load(); head != tail;
+       tail = s.tail.load()) {
     const std::size_t queued = static_cast<std::size_t>(tail - head);
     const std::size_t pos = static_cast<std::size_t>(head % capacity);
     // The largest contiguous slab range: stop at the ring-wrap boundary
@@ -326,41 +239,46 @@ std::size_t PipelineManager::drain_burst(Stream& s) {
     // slot 0) and at the drain_batch_max chunk bound.
     const std::size_t burst = std::min(
         {queued, capacity - pos, options_.drain_batch_max});
-    const std::uint64_t t0 = now_ns();
+    const util::Stopwatch clock;
     {
       std::lock_guard lock(s.steps_mutex);
       s.pipeline->process_block(
           {s.slab, pos, pos + burst},
           std::span<const int>(s.labels).subspan(pos, burst), s.steps);
     }
-    // Record before the head advance frees the slots: a producer may reuse
-    // submit_ns[pos..] the moment head moves past them. Only the sampled
-    // slots (absolute position & mask == 0) carry stamps.
-    if (obs_on_) {
-      obs::StreamObs& ob = s.pipeline->obs();
-      const std::uint64_t mask = ob.latency_sample_mask();
-      const std::uint64_t first = (head + mask) & ~mask;
-      if (first < head + burst) {
-        const std::uint64_t t_end = obs::now_ns();
-        for (std::uint64_t a = first; a < head + burst; a += mask + 1) {
-          ob.submit_to_drain.record(t_end - s.submit_ns[pos + (a - head)]);
-        }
-      }
-      ob.counters.update_ring_high_water(queued);
-    }
-    head += burst;
-    s.head.store(head);
+    commit_burst(s, head, burst, queued);
     pending_.fetch_sub(burst);
-    notify_space(s);
-    ++s.telemetry.drain_bursts;
-    ++s.telemetry.drain_burst_hist[burst_bucket(burst)];
-    s.telemetry.busy_ns += now_ns() - t0;
-    s.telemetry.processed += burst;
-    raise_high_water(s.telemetry.queue_high_water, queued);
+    s.telemetry.busy_ns += clock.elapsed_ns();
+    head += burst;
     total += burst;
-    tail = s.tail.load();
   }
   return total;
+}
+
+void PipelineManager::commit_burst(Stream& s, std::uint64_t head,
+                                   std::size_t rows, std::size_t queued) {
+  // Record before the head advance frees the slots: a producer may reuse
+  // submit_ns[..] the moment head moves past them. Only the sampled slots
+  // (absolute position & mask == 0) carry stamps.
+  if (obs_on_) {
+    obs::StreamObs& ob = s.pipeline->obs();
+    const std::uint64_t mask = ob.latency_sample_mask();
+    const std::uint64_t first = (head + mask) & ~mask;
+    if (first < head + rows) {
+      const std::uint64_t t_end = obs::now_ns();
+      for (std::uint64_t a = first; a < head + rows; a += mask + 1) {
+        ob.submit_to_drain.record(
+            t_end -
+            s.submit_ns[static_cast<std::size_t>(a % options_.queue_capacity)]);
+      }
+    }
+  }
+  s.head.store(head + rows);
+  notify_space(s);
+  ++s.telemetry.drain_bursts;
+  ++s.telemetry.drain_burst_hist[burst_bucket(rows)];
+  s.telemetry.processed += rows;
+  raise_high_water(s.telemetry.queue_high_water, queued);
 }
 
 void PipelineManager::notify_space(Stream& s) {
@@ -402,9 +320,8 @@ void PipelineManager::poll(std::size_t id) {
 
 void PipelineManager::drain() {
   if (options_.dispatch == DispatchMode::kManual) {
-    const bool planning = options_.drain_opts.coalesce;
     while (pending_.load() != 0) {
-      if (planning) {
+      if (options_.coalesce) {
         // Deterministic coalescing for the manual dispatcher: every shard
         // plans over all of its streams with published rows, then the poll
         // sweep drains the leftovers. Manual mode is single-threaded
@@ -466,16 +383,14 @@ const StreamTelemetry& PipelineManager::telemetry(std::size_t id) const {
   return streams_[id]->telemetry;
 }
 
-const PipelineStats& PipelineManager::stats(std::size_t id) const {
+PipelineStats PipelineManager::stats(std::size_t id) const {
   EDGEDRIFT_ASSERT(id < streams_.size(), "stream id out of range");
-  Stream& s = *streams_[id];
+  const Stream& s = *streams_[id];
   Shard& shard = *shards_[s.shard];
   std::lock_guard lock(shard.evict_mutex);
-  s.stats_view = s.carried_stats;
-  if (s.residency == Stream::Residency::kHot) {
-    s.stats_view += s.pipeline->stats();
-  }
-  return s.stats_view;
+  PipelineStats stats = s.carried_stats;
+  if (s.residency == Stream::Residency::kHot) stats += s.pipeline->stats();
+  return stats;
 }
 
 obs::Snapshot PipelineManager::stats() const {
@@ -494,10 +409,13 @@ obs::Snapshot PipelineManager::stats() const {
     if (s.residency == Stream::Residency::kHot) {
       ss += s.pipeline->obs().snapshot(i);
     }
-    // Admission refusals never reach the pipeline: the stream's telemetry,
-    // which survives eviction, is their only count.
-    ss.counters.non_finite =
-        s.telemetry.non_finite.load(std::memory_order_relaxed);
+    // The admission counters are serving-layer state: the stream's
+    // telemetry, which survives eviction, is their only home.
+    const StreamTelemetry& t = s.telemetry;
+    ss.counters.rejected = t.rejected.load(std::memory_order_relaxed);
+    ss.counters.non_finite = t.non_finite.load(std::memory_order_relaxed);
+    ss.counters.ring_high_water =
+        t.queue_high_water.load(std::memory_order_relaxed);
     snap.streams.push_back(std::move(ss));
   }
   snap.shards.reserve(shards_.size());

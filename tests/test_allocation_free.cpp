@@ -429,8 +429,6 @@ TEST(AllocationFree, ObsRecordingDoesNotAllocate) {
   g_count_allocs.store(true, std::memory_order_relaxed);
   for (std::uint64_t i = 0; i < 1000; ++i) {
     obs.counters.add_samples_in();
-    obs.counters.add_rejected(2);
-    obs.counters.update_ring_high_water(i % 97);
     obs.submit_to_drain.record(i * 13);
     obs.score.record(i * 7);
     obs.journal.begin_event(i, 1.25, 2.5, 100,

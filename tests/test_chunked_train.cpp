@@ -342,7 +342,7 @@ GaussianConcept post_concept() {
   return GaussianConcept({a, b});
 }
 
-PipelineConfig make_config() {
+PipelineConfig make_config(std::size_t train_chunk = 1) {
   PipelineConfig config;
   config.num_labels = 2;
   config.input_dim = 8;
@@ -353,6 +353,7 @@ PipelineConfig make_config() {
   config.reconstruction.n_update = 100;
   config.reconstruction.n_total = 400;
   config.seed = 7;
+  config.train_chunk = train_chunk;
   return config;
 }
 
@@ -400,10 +401,9 @@ std::vector<std::vector<PipelineStep>> run_rounds(
   return steps;
 }
 
-ManagerOptions manual_options(std::size_t train_chunk) {
+ManagerOptions manual_options() {
   ManagerOptions options;
   options.dispatch = DispatchMode::kManual;
-  options.drain_opts.train_chunk = train_chunk;
   return options;
 }
 
@@ -457,7 +457,7 @@ void check_chunk_decision_equivalence(NumericsTier tier) {
   const Dataset train = make_train();
   const auto tests = make_tests(kStreams, 480);
 
-  ManagerOptions off = manual_options(0);  // keep the default train_chunk=1
+  ManagerOptions off = manual_options();
   off.numerics = tier;
   PipelineManager reference(make_config(), 1, off);
   seed_group(reference, kStreams, train);
@@ -467,9 +467,9 @@ void check_chunk_decision_equivalence(NumericsTier tier) {
 
   for (const std::size_t chunk : {2u, 4u, 8u}) {
     SCOPED_TRACE("train_chunk = " + std::to_string(chunk));
-    ManagerOptions on = manual_options(chunk);
+    ManagerOptions on = manual_options();
     on.numerics = tier;
-    PipelineManager chunked(make_config(), 1, on);
+    PipelineManager chunked(make_config(chunk), 1, on);
     seed_group(chunked, kStreams, train);
     const auto got = run_rounds(chunked, tests, 8);
     expect_decision_equivalent(got, want);
@@ -508,9 +508,9 @@ TEST(ChunkedTrain, RecoveringStreamsStayInCoalescedGroups) {
   const Dataset train = make_train();
   const auto tests = make_tests(kStreams, 480);
 
-  ManagerOptions on = manual_options(8);
-  on.drain_opts.coalesce = true;
-  PipelineManager manager(make_config(), 1, on);
+  ManagerOptions on = manual_options();
+  on.coalesce = true;
+  PipelineManager manager(make_config(8), 1, on);
   seed_group(manager, kStreams, train);
   const auto got = run_rounds(manager, tests, 8);
 
@@ -591,8 +591,7 @@ TEST(ChunkedTrain, SubmitBatchRacesChunkedShardDrains) {
   options.shards = 2;
   options.queue_capacity = 64;
   options.hot_stream_budget = 2;
-  options.drain_opts.train_chunk = 8;
-  PipelineManager manager(make_config(), 1, options);
+  PipelineManager manager(make_config(8), 1, options);
   seed_group(manager, kStreams, train);
 
   std::vector<std::thread> producers;

@@ -147,7 +147,7 @@ void expect_steps_bit_identical(const std::vector<PipelineStep>& actual,
 ManagerOptions manual_options(bool coalesce) {
   ManagerOptions options;
   options.dispatch = DispatchMode::kManual;
-  options.drain_opts.coalesce = coalesce;
+  options.coalesce = coalesce;
   return options;
 }
 
